@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
                       Row{"ft", 37.92, 41.40, 43.23}};
   const auto secs = sweep_indexed(out, 6, [&](std::size_t i) {
     return run_app(rows[i / 3].app, kAllNets[i % 3], 8, 1,
-                   cluster::Bus::kDefault, out.express, out.faults, out.partitions);
+                   cluster::Bus::kDefault, out.faults, out.partitions);
   });
   for (std::size_t r = 0; r < 2; ++r) {
     t.row()

@@ -12,11 +12,11 @@ int main(int argc, char** argv) {
   for (const char* app : {"is", "cg", "mg", "lu", "s3d50", "s3d150"}) {
     for (auto net : kAllNets) {
       const double t2 = run_app(app, net, 2, 1, cluster::Bus::kDefault,
-                                out.express, {}, out.partitions);
+                                {}, out.partitions);
       const double t4 = run_app(app, net, 4, 1, cluster::Bus::kDefault,
-                                out.express, {}, out.partitions);
+                                {}, out.partitions);
       const double t8 = run_app(app, net, 8, 1, cluster::Bus::kDefault,
-                                out.express, {}, out.partitions);
+                                {}, out.partitions);
       t.row()
           .add(std::string(app))
           .add(std::string(cluster::net_name(net)))

@@ -9,13 +9,13 @@ int main(int argc, char** argv) {
   util::Table t({"app", "n2_s", "n4_s", "n8_s", "n16_s", "speedup_16v2"});
   for (const char* app : {"is", "cg", "mg", "lu", "ft", "s3d50", "s3d150"}) {
     const double t2 = run_app(app, cluster::Net::kInfiniBand, 2, 1,
-                              cluster::Bus::kDefault, out.express, {}, out.partitions);
+                              cluster::Bus::kDefault, {}, out.partitions);
     const double t4 = run_app(app, cluster::Net::kInfiniBand, 4, 1,
-                              cluster::Bus::kDefault, out.express, {}, out.partitions);
+                              cluster::Bus::kDefault, {}, out.partitions);
     const double t8 = run_app(app, cluster::Net::kInfiniBand, 8, 1,
-                              cluster::Bus::kDefault, out.express, {}, out.partitions);
+                              cluster::Bus::kDefault, {}, out.partitions);
     const double t16 = run_app(app, cluster::Net::kInfiniBand, 16, 1,
-                               cluster::Bus::kDefault, out.express, {}, out.partitions);
+                               cluster::Bus::kDefault, {}, out.partitions);
     t.row()
         .add(std::string(app))
         .add(t2, 2)
@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   // SP/BT at square counts only: 4 and 16.
   for (const char* app : {"sp", "bt"}) {
     const double t4 = run_app(app, cluster::Net::kInfiniBand, 4, 1,
-                              cluster::Bus::kDefault, out.express, {}, out.partitions);
+                              cluster::Bus::kDefault, {}, out.partitions);
     const double t16 = run_app(app, cluster::Net::kInfiniBand, 16, 1,
-                               cluster::Bus::kDefault, out.express, {}, out.partitions);
+                               cluster::Bus::kDefault, {}, out.partitions);
     t.row()
         .add(std::string(app))
         .add(std::string("-"))

@@ -11,11 +11,11 @@ int main(int argc, char** argv) {
     t.row()
         .add(std::string(app))
         .add(run_app(app, cluster::Net::kInfiniBand, 8, 2,
-                     cluster::Bus::kDefault, out.express, {}, out.partitions), 2)
+                     cluster::Bus::kDefault, {}, out.partitions), 2)
         .add(run_app(app, cluster::Net::kMyrinet, 8, 2,
-                     cluster::Bus::kDefault, out.express, {}, out.partitions), 2)
+                     cluster::Bus::kDefault, {}, out.partitions), 2)
         .add(run_app(app, cluster::Net::kQuadrics, 8, 2,
-                     cluster::Bus::kDefault, out.express, {}, out.partitions), 2);
+                     cluster::Bus::kDefault, {}, out.partitions), 2);
   }
   out.emit("Fig 25: 16 processes on 8 nodes, block mapping (class B, "
            "seconds) | paper: IBA best except MG and Sweep3D-150; QSN hurt "

@@ -15,10 +15,10 @@ int main(int argc, char** argv) {
                 Row{"ft", 8}, Row{"sp", 4}, Row{"bt", 4}}) {
     const double x =
         run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPcix133, out.express, {}, out.partitions);
+                cluster::Bus::kPcix133, {}, out.partitions);
     const double p =
         run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPci66, out.express, {}, out.partitions);
+                cluster::Bus::kPci66, {}, out.partitions);
     t.row()
         .add(std::string(r.app))
         .add(static_cast<std::uint64_t>(r.nodes))
@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
         .add(p, 2)
         .add((p - x) / x * 100.0, 1)
         .add(run_app(r.app, cluster::Net::kMyrinet, r.nodes, 1,
-                     cluster::Bus::kDefault, out.express, {}, out.partitions), 2)
+                     cluster::Bus::kDefault, {}, out.partitions), 2)
         .add(run_app(r.app, cluster::Net::kQuadrics, r.nodes, 1,
-                     cluster::Bus::kDefault, out.express, {}, out.partitions), 2);
+                     cluster::Bus::kDefault, {}, out.partitions), 2);
   }
   out.emit("Fig 28: IBA class B, PCI vs PCI-X (seconds) | paper: average "
            "degradation <5%; IS/FT/CG on PCI still match or beat "

@@ -168,21 +168,18 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     case Net::kInfiniBand: {
       ib_ = std::make_unique<ib::IbFabric>(*engines_.front(), node_ptrs,
                                            ib_cfg, fpp);
-      ib_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_ib(*mpi_, *ib_, rdv_cc));
       break;
     }
     case Net::kMyrinet: {
       gm_ = std::make_unique<gm::GmFabric>(*engines_.front(), node_ptrs,
                                            gm_cfg, fpp);
-      gm_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_gm(*mpi_, *gm_, rdv_cc));
       break;
     }
     case Net::kQuadrics: {
       elan_ = std::make_unique<elan::ElanFabric>(*engines_.front(),
                                                  node_ptrs, elan_cfg, fpp);
-      elan_->set_express(cfg_.express);
       mpi_->set_device(mpi::make_ch_elan(*mpi_, *elan_, elan_cc));
       break;
     }
@@ -349,8 +346,6 @@ audit::AuditReport Cluster::make_audit_report() {
                    std::to_string(st[p].batches) + " lbts_rounds=" +
                    std::to_string(st[p].lbts_rounds));
           }
-          s.note("express demotions at partition boundaries: " +
-                 std::to_string(fabric().express_boundary_demotions()));
           s.require_eq(sent, received,
                        "cross-partition message(s) lost in flight");
         });

@@ -50,18 +50,6 @@ struct ClusterConfig {
   int ppn = 1;  // processes per node (paper: 1, or 2 for SMP mode)
   Net net = Net::kInfiniBand;
   Bus bus = Bus::kDefault;
-  // Opt-in: let the fabric collapse provably-uncontended messages into
-  // closed-form express completions (see netfabric.hpp). Timing of every
-  // individual flow is bit-identical to the packet machine, but a
-  // demotion after the launch window re-schedules the flow's pending
-  // event from the demoter's handler, which can flip the order of
-  // SAME-INSTANT events against the packet path. Raw fabric traffic
-  // never observes that order; full MPI runs do (completion callbacks
-  // feed back into posting), so contended collectives can drift by
-  // microseconds. Off by default so figure/table artifacts are exactly
-  // reproducible; turn on for wall-clock speed when bit-exactness across
-  // the express toggle is not required.
-  bool express = false;
 
   /// PDES partition count for the run (see src/sim/pdes and
   /// cluster/partition.hpp). 1 — the default — is the sequential engine,
@@ -72,7 +60,7 @@ struct ClusterConfig {
   /// cross-partition interaction travels as a timestamped wire message
   /// (the fabric's split-flow protocol) under the conservative LBTS
   /// window. Results are required (and chaos-tested) to be bit-identical
-  /// for any partition count, under --express and under fault plans.
+  /// for any partition count, with and without fault plans.
   ///
   /// Configurations whose hardware shortcut reads or writes remote-node
   /// state directly — Elan hardware broadcast / rendezvous hardware

@@ -97,12 +97,6 @@ sim::Time ElanFabric::rx_stall(const model::NetMsg& msg) {
                                                         msg.bytes);
 }
 
-bool ElanFabric::express_rx_ok(const model::NetMsg& msg) const {
-  // Host-addressed payloads walk the destination Elan MMU at delivery —
-  // a stateful access (TLB fills) the express path may not pre-run.
-  return msg.dst_addr == 0;
-}
-
 void ElanFabric::on_posted(const model::NetMsg& msg) {
   ++outstanding_[static_cast<std::size_t>(msg.src)];
 }

@@ -92,10 +92,6 @@ class ElanFabric final : public model::NetFabric {
   sim::Time tx_setup(const model::NetMsg& msg) override;
   sim::Time tx_stall(const model::NetMsg& msg) override;
   sim::Time rx_stall(const model::NetMsg& msg) override;
-  /// The destination MMU walk mutates NIC translation state, so rx_stall
-  /// is not a pure function for host-addressed payloads — those must stay
-  /// on the packet path, where the walk runs at first-packet delivery.
-  bool express_rx_ok(const model::NetMsg& msg) const override;
   void on_posted(const model::NetMsg& msg) override;
   void on_delivered(const model::NetMsg& msg) override;
   /// Retry exhaustion retires the QDMA descriptor like a delivery would.

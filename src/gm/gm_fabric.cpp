@@ -107,11 +107,6 @@ void GmFabric::register_audits(audit::AuditReport& report) {
   }
 }
 
-void GmFabric::collect_pipes(std::vector<model::Pipe*>& out) {
-  NetFabric::collect_pipes(out);
-  for (auto& p : sram_) out.push_back(p.get());
-}
-
 sim::Time GmFabric::degrade_delay(const model::NetMsg&, int round) const {
   // Round 1: the LANai firmware re-walks its route table looking for an
   // alternate path (one Go-Back-N timeout's worth of probing). The

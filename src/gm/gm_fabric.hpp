@@ -67,9 +67,6 @@ class GmFabric final : public model::NetFabric {
   /// ports), idle SRAM staging, and pin-down cache conservation laws.
   void register_audits(audit::AuditReport& report) override;
 
-  /// Base pipes plus the SRAM staging stages.
-  void collect_pipes(std::vector<model::Pipe*>& out) override;
-
   /// Installs the chaos plan, then wires registration-failure injection
   /// into every armed node's pin-down cache.
   void set_fault_plan(const fault::FaultPlan& plan) override;

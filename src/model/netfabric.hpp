@@ -15,12 +15,7 @@
 // Data-path implementation (see DESIGN.md "message data path"): each
 // message is driven by a slab-pooled MsgFlow state machine stepping the
 // packet event sequence through raw EventFn continuations — no coroutine
-// frames, no shared_ptr, no allocation after warm-up. When a message can
-// prove exclusive occupancy of its full bus/tx/switch/rx window it takes
-// the express path: the whole per-packet trajectory is applied to the
-// pipes in one closed-form replay and only terminal events are scheduled,
-// with claims on every pipe so a competing reservation demotes the flow
-// back to packet granularity with bit-identical timing.
+// frames, no shared_ptr, no allocation after warm-up.
 //
 // The three interconnects subclass this and add their quirks through the
 // protected hooks: Myrinet's shared SRAM staging, Quadrics' NIC MMU walks
@@ -259,35 +254,17 @@ class NetFabric {
   }
   std::uint64_t packets_abandoned() const { return sum(&Shard::abandoned); }
 
-  /// Enable/disable the uncontended express path (default on). Timing is
-  /// bit-identical either way — the toggle exists for the equivalence
-  /// property tests and for benchmarking the packet machine itself.
-  void set_express(bool on) { express_enabled_ = on; }
-  bool express_enabled() const { return express_enabled_; }
-  /// Messages whose whole window ran express (no demotion).
-  std::uint64_t express_messages() const { return sum(&Shard::express_msgs); }
-  /// Express launches demoted back to packet granularity by a competing
-  /// reservation landing inside the claimed window.
-  std::uint64_t express_demotions() const {
-    return sum(&Shard::express_demotions);
-  }
-  /// Express claims refused up front because the flow's reservation window
-  /// would span a partition boundary (a boundary flow is not provably
-  /// uncontended from one partition's view). Always zero sequentially.
-  std::uint64_t express_boundary_demotions() const {
-    return sum(&Shard::boundary_demotions);
-  }
+  /// Always 0: every message runs the packet machine (the closed-form
+  /// express path was removed). Kept because perfbench/mnsbench.cpp
+  /// still reports them as model.express_msgs / model.express_demotions.
+  std::uint64_t express_messages() const { return 0; }
+  std::uint64_t express_demotions() const { return 0; }
 
   /// Finalize-time conservation checks: every posted message delivered,
-  /// every broadcast completed, all NIC/switch stages idle, no live
-  /// message flows and no dangling pipe claims. Subclasses extend with
-  /// their own invariants (per-QP memory, DMA descriptors).
+  /// every broadcast completed, all NIC/switch stages idle and no live
+  /// message flows. Subclasses extend with their own invariants (per-QP
+  /// memory, DMA descriptors).
   virtual void register_audits(audit::AuditReport& report);
-
-  /// Append every pipe of the fabric data path (tx/rx/NIC processors,
-  /// switching stages, host buses) to `out` — stats and equivalence-test
-  /// use. Subclasses append extra stages (GM SRAM staging).
-  virtual void collect_pipes(std::vector<Pipe*>& out);
 
   /// Switch-level multicast: one injection from `src`'s NIC, replicated by
   /// the crossbar to every other node (Elite hardware broadcast; IB
@@ -305,9 +282,7 @@ class NetFabric {
   /// Stall before injection, occupying the tx pipe (e.g. source MMU walk).
   virtual sim::Time tx_stall(const NetMsg& msg);
   /// Stall before delivery, occupying the rx pipe (e.g. dest MMU walk).
-  /// Called once per message, at first-packet delivery time — except for
-  /// express-eligible messages (see express_rx_ok), whose value is
-  /// evaluated at launch; such messages must make this a pure function.
+  /// Called once per message, at first-packet delivery time.
   virtual sim::Time rx_stall(const NetMsg& msg);
   /// Optional extra shared stage for this message on `node`'s NIC
   /// (Myrinet SRAM staging). Return nullptr for none. Must be a pure
@@ -337,12 +312,6 @@ class NetFabric {
   /// Installed injector (null without a fault plan); subclasses use it to
   /// wire fabric-specific fault surfaces (registration failures).
   fault::Injector* injector() { return injector_.get(); }
-  /// Express-path veto: return true only when rx_stall(msg) is a pure
-  /// function (no hidden NIC state mutation), so the express path may
-  /// evaluate it at launch instead of at first-packet delivery. Quadrics
-  /// overrides this: its destination MMU walk is stateful for
-  /// host-addressed payloads.
-  virtual bool express_rx_ok(const NetMsg& msg) const;
 
   Pipe& tx_pipe(int node_id) { return *tx_[static_cast<std::size_t>(node_id)]; }
   Pipe& rx_pipe(int node_id) { return *rx_[static_cast<std::size_t>(node_id)]; }
@@ -352,7 +321,6 @@ class NetFabric {
 
  private:
   struct MsgFlow;   // pooled per-message state machine (netfabric.cpp)
-  friend struct MsgFlowAccess;  // test backdoor (equivalence property test)
 
   /// Pipelining granularity: MTU-sized packets, but capped at 64 chunks
   /// per message so huge transfers stay cheap to simulate (the pipeline
@@ -393,9 +361,6 @@ class NetFabric {
     std::vector<std::uint32_t> degrade_round;
     std::uint64_t bcasts_posted = 0;
     std::uint64_t bcasts_delivered = 0;
-    std::uint64_t express_msgs = 0;
-    std::uint64_t express_demotions = 0;
-    std::uint64_t boundary_demotions = 0;
     std::uint64_t faults_drop = 0;
     std::uint64_t faults_corrupt = 0;
     std::uint64_t gbn_discards = 0;
@@ -422,7 +387,6 @@ class NetFabric {
 
   MsgFlow* acquire_flow(Shard& sh);
   void release_flow(MsgFlow& f);
-  void maybe_release(MsgFlow& f);
 
   void init_flow(MsgFlow& f, NetMsg msg);
 
@@ -449,23 +413,6 @@ class NetFabric {
   void rx_half_reserve_rx(MsgFlow& f, std::uint64_t p, sim::Time done);
   void finish_boundary_delivery(MsgFlow& f);
 
-  bool can_express(const MsgFlow& f);
-  /// Bulk-apply the flow and claim its window; false when the closed form
-  /// cannot represent the packet path faithfully (rx-overtake, see
-  /// replay_flow) — pipes are rolled back and the caller must run the
-  /// packet machine.
-  bool express_launch(MsgFlow& f);
-  void demote(MsgFlow& f);
-  /// Closed-form replay of the packet trajectory. `materialize == false`:
-  /// express launch — apply every reservation and schedule the terminal
-  /// events; returns false (abort, no events scheduled) if a later
-  /// packet's rx arrival would overtake the first packet's processor-gated
-  /// rx reservation, because that interleaving is event-order-dependent.
-  /// `materialize == true`: demotion — re-apply reservations whose
-  /// (virtual) event time has passed, re-run their counter/callback side
-  /// effects, and schedule real packet-machine events for everything still
-  /// in flight; always returns true.
-  bool replay_flow(MsgFlow& f, bool materialize);
   void flow_step(MsgFlow& f, std::uintptr_t word);
   void deliver(MsgFlow& f);
 
@@ -508,7 +455,6 @@ class NetFabric {
   // Per-source-node sequence numbers for boundary flow keys (only the
   // owning partition touches its nodes' counters).
   std::vector<std::uint64_t> flow_seq_;
-  bool express_enabled_ = true;
   // Fault injection + recovery (null injector = lossless fabric).
   std::unique_ptr<fault::Injector> injector_;
   RecoveryConfig recovery_;

@@ -10,27 +10,14 @@
 //
 //   * Coroutine layer (`transfer`, `occupy`, `transfer_after`): reserve a
 //     slot and co_await its completion — one event per stage.
-//   * Reservation layer (`reserve`, `reserve_after`, and the `_at`
-//     variants): the same slot arithmetic without the coroutine; callers
-//     get back the absolute completion time and schedule their own
-//     continuation.  This is what the pooled message state machines in
-//     NetFabric drive, and what the express path uses to apply a whole
-//     pipelined transfer's worth of reservations in one shot.
-//
-// Express-path support: a `ClaimOwner` (one message flow) may claim the
-// pipe for a reservation window it has already applied in bulk.  Every
-// real-time reservation first calls `break_claims()`; if a competing
-// reservation lands while the claim window is still open (now < the
-// owner's last virtual reservation instant on this pipe) the owner is
-// demoted — it rolls the pipe back to its pre-claim `State` snapshot and
-// replays at packet granularity.  `epoch()` is a monotone contender
-// counter bumped by every reservation, letting owners audit that nobody
-// slipped a reservation into a claimed window without a demotion.
+//   * Reservation layer (`reserve`, `reserve_after`): the same slot
+//     arithmetic without the coroutine; callers get back the absolute
+//     completion time and schedule their own continuation. This is what
+//     the pooled message state machines in NetFabric drive.
 #pragma once
 
 #include <cstdint>
 
-#include "audit/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -39,28 +26,6 @@ namespace mns::model {
 
 class Pipe {
  public:
-  /// Implemented by express-path flows that applied future reservations in
-  /// bulk.  `claim_broken()` fires when a competing reservation lands
-  /// inside the claimed window; the owner must restore every pipe it
-  /// claimed and re-materialize itself at packet granularity before the
-  /// competitor's reservation proceeds.
-  class ClaimOwner {
-   public:
-    virtual void claim_broken() = 0;
-
-   protected:
-    ~ClaimOwner() = default;
-  };
-
-  /// Snapshot of the externally visible reservation state; saved by a
-  /// claim owner before bulk-applying and restored on demotion.
-  struct State {
-    sim::Time busy_until;
-    sim::Time busy_time;
-    std::uint64_t bytes_moved;
-    std::uint64_t transfers;
-  };
-
   /// `bytes_per_second`: effective data rate of this stage.
   /// `fixed_cost`: per-transfer latency added after serialization
   /// (propagation delay, arbitration, etc).
@@ -88,49 +53,19 @@ class Pipe {
   }
 
   /// Reserve the next FIFO slot for `bytes` now; returns the absolute time
-  /// the transfer completes (last byte plus fixed cost). Breaks any open
-  /// claim first — this is the packet-granularity entry point.
+  /// the transfer completes (last byte plus fixed cost).
   sim::Time reserve(std::uint64_t bytes) {
-    break_claims();
-    return reserve_at(eng_->now(), bytes);
+    ++transfers_;
+    return take_slot(sim::Time::zero(), bytes) + fixed_cost_;
   }
 
   /// `transfer_after` without the coroutine: stall + data as one slot.
-  sim::Time reserve_after(sim::Time lead, std::uint64_t bytes) {
-    break_claims();
-    return reserve_after_at(eng_->now(), lead, bytes);
-  }
-
-  /// Reservation core with an explicit arrival instant, used by claim
-  /// owners replaying a virtual packet trajectory (`arrive` is the virtual
-  /// event time of the requesting stage, which may lie in the simulated
-  /// future). Does NOT break claims — only the claim owner itself may call
-  /// this between claim and expiry.
-  sim::Time reserve_at(sim::Time arrive, std::uint64_t bytes) {
-    const sim::Time start = busy_until_ > arrive ? busy_until_ : arrive;
-    const sim::Time ser = sim::transfer_time(bytes, rate_);
-    busy_until_ = start + ser;
-    busy_time_ += ser;
-    bytes_moved_ += bytes;
-    ++transfers_;
-    ++epoch_;
-    return busy_until_ + fixed_cost_;
-  }
-
-  /// `reserve_after` core with an explicit arrival instant (see above).
   /// Pure occupancy (`bytes == 0`) pays no fixed cost and does not count
-  /// as a transfer, matching `transfer_after` / `occupy`.
-  sim::Time reserve_after_at(sim::Time arrive, sim::Time lead,
-                             std::uint64_t bytes) {
-    const sim::Time start = busy_until_ > arrive ? busy_until_ : arrive;
-    const sim::Time ser = lead + sim::transfer_time(bytes, rate_);
-    busy_until_ = start + ser;
-    busy_time_ += ser;
-    bytes_moved_ += bytes;
-    if (bytes > 0) ++transfers_;
-    ++epoch_;
-    return busy_until_ +
-           (bytes > 0 ? fixed_cost_ : sim::Time::zero());
+  /// as a transfer, matching `occupy`.
+  sim::Time reserve_after(sim::Time lead, std::uint64_t bytes) {
+    if (bytes == 0) return take_slot(lead, 0);
+    ++transfers_;
+    return take_slot(lead, bytes) + fixed_cost_;
   }
 
   /// The serialization time alone for `bytes` (no queueing, no fixed cost).
@@ -148,73 +83,19 @@ class Pipe {
   std::uint64_t transfers() const { return transfers_; }
   sim::Time busy_time() const { return busy_time_; }
 
-  /// Monotone contender counter: bumped by every reservation (real or
-  /// virtual). A claim owner records it after bulk-applying; it changing
-  /// before the claim expires without `claim_broken()` firing would mean a
-  /// reservation bypassed the demotion protocol.
-  std::uint64_t epoch() const { return epoch_; }
-
-  // -- express-path claims ------------------------------------------------
-
-  /// Claim the window up to `expiry` — the owner's final completion
-  /// instant, after which it makes no further reservation anywhere. A real
-  /// reservation at or before that instant demotes the owner; strictly
-  /// after it, the bulk outcome is already final and the claim simply
-  /// lapses. The owner must use one uniform expiry across every pipe it
-  /// claims: per-pipe expiries would let a claim lapse mid-flight and a
-  /// foreign reservation slip in, invalidating the owner's snapshots.
-  void claim(ClaimOwner* owner, sim::Time expiry) {
-    MNS_AUDIT(!claim_active(), "pipe claimed while already claimed");
-    claim_owner_ = owner;
-    claim_expiry_ = expiry;
-  }
-
-  /// Drop a claim without demotion (owner delivered, or is demoting).
-  void clear_claim(ClaimOwner* owner) {
-    if (claim_owner_ == owner) claim_owner_ = nullptr;
-  }
-
-  /// Matches break_claims(): the boundary instant still counts as claimed,
-  /// so a would-be express launch at exactly the owner's completion falls
-  /// back to the packet machine (whose real reservations demote the owner).
-  bool claim_active() const {
-    return claim_owner_ != nullptr && eng_->now() <= claim_expiry_;
-  }
-
-  /// A claim pointer is present (possibly lapsed). Audited back to null at
-  /// finalize: flows clear their claims on delivery or demotion.
-  bool claimed() const { return claim_owner_ != nullptr; }
-
-  /// Demote the claim owner if a competing reservation lands inside its
-  /// open window; lapse the claim silently once the window has passed.
-  /// The boundary instant (now == expiry) demotes: a competitor arriving
-  /// at exactly the owner's final completion would race it on event order,
-  /// and the competitor's event was almost always scheduled before the
-  /// owner's terminal events — demoting replays the tie in the packet
-  /// machine's order (competitor first), matching the never-express world.
-  void break_claims() {
-    if (claim_owner_ == nullptr) return;
-    ClaimOwner* owner = claim_owner_;
-    claim_owner_ = nullptr;
-    if (eng_->now() <= claim_expiry_) owner->claim_broken();
-  }
-
-  State state() const {
-    return {busy_until_, busy_time_, bytes_moved_, transfers_};
-  }
-
-  /// Roll back to a pre-claim snapshot. Only valid for the claim owner on
-  /// demotion: claims guarantee no foreign reservation occurred since the
-  /// snapshot was taken.
-  void restore(const State& s) {
-    busy_until_ = s.busy_until;
-    busy_time_ = s.busy_time;
-    bytes_moved_ = s.bytes_moved;
-    transfers_ = s.transfers;
-    ++epoch_;
-  }
-
  private:
+  /// Occupy the next FIFO slot for `lead` plus the serialization of
+  /// `bytes`; returns the instant the slot ends.
+  sim::Time take_slot(sim::Time lead, std::uint64_t bytes) {
+    const sim::Time now = eng_->now();
+    const sim::Time start = busy_until_ > now ? busy_until_ : now;
+    const sim::Time ser = lead + sim::transfer_time(bytes, rate_);
+    busy_until_ = start + ser;
+    busy_time_ += ser;
+    bytes_moved_ += bytes;
+    return busy_until_;
+  }
+
   sim::Engine* eng_;
   double rate_;
   sim::Time fixed_cost_;
@@ -222,9 +103,6 @@ class Pipe {
   sim::Time busy_time_;
   std::uint64_t bytes_moved_ = 0;
   std::uint64_t transfers_ = 0;
-  std::uint64_t epoch_ = 0;
-  ClaimOwner* claim_owner_ = nullptr;
-  sim::Time claim_expiry_;
 };
 
 }  // namespace mns::model

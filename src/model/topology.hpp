@@ -45,9 +45,6 @@ class SwitchTopology {
     const int n = hops(src, dst, hop);
     for (int i = 0; i < n; ++i) co_await hop[i]->transfer(bytes);
   }
-
-  /// Append every pipe in the switching stage to `out` (stats/audit use).
-  virtual void collect_pipes(std::vector<Pipe*>& out) = 0;
 };
 
 /// Every node on one full crossbar (the paper's configuration).
@@ -65,10 +62,6 @@ class SingleCrossbar final : public SwitchTopology {
     return 1;
   }
   const char* name() const override { return "crossbar"; }
-
-  void collect_pipes(std::vector<Pipe*>& out) override {
-    for (std::size_t p = 0; p < sw_.ports(); ++p) out.push_back(&sw_.port(p));
-  }
 
  private:
   CrossbarSwitch sw_;
@@ -110,16 +103,6 @@ class FatTree final : public SwitchTopology {
     return n;
   }
   const char* name() const override { return "fat-tree"; }
-
-  void collect_pipes(std::vector<Pipe*>& out) override {
-    for (auto& u : up_) out.push_back(u.get());
-    for (std::size_t p = 0; p < spine_->ports(); ++p)
-      out.push_back(&spine_->port(p));
-    for (auto& leaf : leaves_) {
-      for (std::size_t p = 0; p < leaf->ports(); ++p)
-        out.push_back(&leaf->port(p));
-    }
-  }
 
   std::size_t leaf_radix() const { return leaf_radix_; }
 

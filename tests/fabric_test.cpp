@@ -1,7 +1,10 @@
 // Tests for the three interconnect fabric models (below the MPI layer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "elan/elan_fabric.hpp"
@@ -9,6 +12,7 @@
 #include "ib/ib_fabric.hpp"
 #include "shm/shm_domain.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -165,6 +169,77 @@ TEST_F(FabricFixture, IbLoopbackSkipsSwitchAndHalvesBusRate) {
   // intra-node large-message figure for MPI over InfiniBand.
   EXPECT_GT(rate, 430e6);
   EXPECT_LT(rate, 500e6);
+}
+
+// Uncontended-message oracle. One isolated 0->1 message on an idle
+// two-node IB fabric over PCI-X crosses six stages, each a FIFO server fed
+// by the one before, so its timing has a closed form: a max-plus
+// recurrence over the packets, built here only from sim::transfer_time
+// and the config's rates and fixed costs. Returns {eager local
+// completion, remote arrival}.
+std::pair<Time, Time> ib_uncontended_times(const ib::IbConfig& cfg,
+                                           const model::BusConfig& bus,
+                                           std::uint64_t bytes) {
+  const model::NicConfig& nic = cfg.nic;
+  const model::SwitchConfig& sw = cfg.switch_cfg;
+  const double bus_rate = bus.effective_bytes_per_second;
+  // MTU packets, but never more than 64 of them.
+  const std::uint64_t chunk =
+      std::max<std::uint64_t>(nic.mtu, (bytes + 63) / 64);
+  const std::uint64_t packets = bytes == 0 ? 1 : (bytes + chunk - 1) / chunk;
+  // 1. Per-message setup on the sending NIC.
+  Time fetched = nic.per_msg_setup;
+  Time tx_free, port_free, rx_free, bus_free, sent, arrival;
+  for (std::uint64_t p = 0; p < packets; ++p) {
+    const std::uint64_t pkt =
+        p + 1 < packets ? chunk : bytes - chunk * (packets - 1);
+    // 2. Closed-loop fetch over the source bus: each chunk's DMA starts
+    //    when the previous one (setup cost included) has completed.
+    fetched = fetched + sim::transfer_time(pkt, bus_rate) + bus.per_dma_setup;
+    // 3. NIC tx, then the wire.
+    tx_free = std::max(tx_free, fetched) + sim::transfer_time(pkt, nic.tx_rate);
+    sent = tx_free + nic.tx_wire_latency;
+    // 4. Switch output port, then the crossbar traversal.
+    port_free = std::max(port_free, sent) +
+                sim::transfer_time(pkt, sw.port_bytes_per_second);
+    Time t = port_free + sw.forward_latency;
+    // 5. NIC rx. The per-message receive setup leads packet 0 in the same
+    //    slot; a header-only message is pure occupancy there and so pays
+    //    no rx_fixed.
+    const Time lead = p == 0 ? nic.per_msg_rx_setup : Time::zero();
+    rx_free =
+        std::max(rx_free, t) + lead + sim::transfer_time(pkt, nic.rx_rate);
+    t = rx_free + (bytes > 0 ? nic.rx_fixed : Time::zero());
+    // 6. Destination bus DMA.
+    bus_free = std::max(bus_free, t) + sim::transfer_time(pkt, bus_rate);
+    arrival = bus_free + bus.per_dma_setup;
+  }
+  return {sent, arrival};
+}
+
+TEST(FabricOracle, IbUncontendedMessageMatchesClosedForm) {
+  const ib::IbConfig cfg = ib::default_ib_config(2);
+  const model::BusConfig bus = model::pcix_133();
+  // The chunking edges (empty, one full MTU, one byte over, the 64-chunk
+  // cap) plus seeded log-uniform sizes up to 1 MB.
+  std::vector<std::uint64_t> sizes{0, 2048, 2049, 1 << 20};
+  util::Rng rng(2003);
+  for (int i = 0; i < 200; ++i) {
+    sizes.push_back(rng.below(std::uint64_t{1} << rng.below(21)));
+  }
+  for (const std::uint64_t bytes : sizes) {
+    Engine eng;
+    model::NodeHw a(eng, bus, model::xeon_2003_memcpy());
+    model::NodeHw b(eng, bus, model::xeon_2003_memcpy());
+    ib::IbFabric fab(eng, {&a, &b}, cfg);
+    Delivery d;
+    fab.post(probe_msg(eng, 0, 1, bytes, d));
+    eng.run();
+    ASSERT_TRUE(d.local_done && d.remote_done) << bytes << " B";
+    const auto [local, remote] = ib_uncontended_times(cfg, bus, bytes);
+    EXPECT_EQ(d.local_complete.count_ps(), local.count_ps()) << bytes << " B";
+    EXPECT_EQ(d.remote_arrival.count_ps(), remote.count_ps()) << bytes << " B";
+  }
 }
 
 // --- Myrinet -------------------------------------------------------------

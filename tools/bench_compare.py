@@ -10,8 +10,8 @@ Compares items_per_second for every benchmark present in BOTH reports
 (aggregates like _mean/_median and benchmarks without an items/s counter
 are skipped). A benchmark whose throughput dropped by more than the
 threshold (default 30%, chosen to ride out CI-runner noise while still
-catching real data-path regressions like an express-path fallback or a
-per-packet allocation creeping back in) fails the run.
+catching real data-path regressions like a per-packet allocation
+creeping back in) fails the run.
 
 New benchmarks (in CURRENT only) are labelled "new, not compared" and
 never fail — a benchmark added in the candidate has no baseline row and

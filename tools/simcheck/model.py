@@ -15,7 +15,7 @@ class CallSite:
     name: str                    # unqualified callee name ('reserve')
     line: int
     qualifier: str = ""          # 'Pipe' for Pipe::reserve, '' if unknown
-    receiver: str = ""           # receiver expression chain ('f.claims')
+    receiver: str = ""           # receiver expression chain ('f.rx')
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .model import Finding, Function, SourceModel
 # dispatch loop. Matched against Function.qname.
 DEFAULT_HOT_ROOTS = [
     r"NetFabric::(flow_step|deliver|lose_packet|arm_rto|resend_lost|"
-    r"fail_flow|rto_delay|replay_flow|maybe_release|release_flow)$",
+    r"fail_flow|rto_delay|release_flow)$",
     # Split-flow wire handlers: these run on the RECEIVING partition's
     # engine thread (dispatched by FabricExecutor), so any static they
     # reach is shared across partition threads, not just across engines.
