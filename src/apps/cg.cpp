@@ -128,12 +128,19 @@ sim::Task<AppResult> run_cg(Comm& comm, CgParams p, Mode mode) {
   const double t0 = comm.wtime();
 
   // Butterfly p2p double-sum over all ranks (NPB CG avoids collectives).
+  // Skeleton runs exchange synthetic views: `v` and `other` live in a
+  // pooled coroutine frame, so real views would hand the NIC MMU and
+  // registration models a page layout that depends on which cells ran
+  // earlier in the process.
   auto psum = [&](double v) -> sim::Task<double> {
     for (int mask = 1; mask < np; mask <<= 1) {
       const int partner = me ^ mask;
       double other = 0;
-      co_await comm.sendrecv(View::in(&v, 8), partner, 7001,
-                             View::out(&other, 8), partner, 7001);
+      const View sv =
+          real ? View::in(&v, 8) : View::synth(synth_addr(me, kDot), 8);
+      const View rv = real ? View::out(&other, 8)
+                           : View::synth(synth_addr(me, kDot, 8), 8);
+      co_await comm.sendrecv(sv, partner, 7001, rv, partner, 7001);
       v += other;
     }
     co_return v;

@@ -1,6 +1,11 @@
 // Application kernels: real-mode numerics verify; skeleton mode runs the
 // class-B message schedule; both modes and all networks complete.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "apps/registry.hpp"
 #include "cluster/cluster.hpp"
@@ -117,6 +122,46 @@ TEST(AppsMisc, BandwidthBoundAppFavorsInfiniBand) {
   const AppResult my = run_app_on(spec, Net::kMyrinet, 8, 1,
                                   Mode::kSkeleton, /*test_size=*/false);
   EXPECT_GT(my.app_seconds, ib.app_seconds * 1.15);
+}
+
+TEST(AppsMisc, CgQuadricsSkeletonIgnoresEarlierCells) {
+  // A skeleton cell's simulated time must be a function of the cell
+  // alone, not of host memory layout: the same class-B cg cell over
+  // Quadrics gives a bit-identical result in a forked child where no
+  // cell has run yet and in this process after a different cell has
+  // recycled the coroutine-frame pool (Elan's NIC MMU keys its timing
+  // on buffer pages, so a host address leaking into it would show).
+  const auto& cg = apps::find_app("cg");
+  auto run_cg = [&] {
+    return run_app_on(cg, Net::kQuadrics, 8, 1, Mode::kSkeleton,
+                      /*test_size=*/false)
+        .app_seconds;
+  };
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(fds[0]);
+    const double fresh = run_cg();
+    const bool sent = write(fds[1], &fresh, sizeof fresh) == sizeof fresh;
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  (void)run_app_on(apps::find_app("ft"), Net::kQuadrics, 8, 1,
+                   Mode::kSkeleton, /*test_size=*/false);
+  const double after_other = run_cg();
+  double fresh = 0;
+  const ssize_t got = read(fds[0], &fresh, sizeof fresh);
+  close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof fresh));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh),
+            std::bit_cast<std::uint64_t>(after_other))
+      << "fresh " << fresh << " s vs after another cell " << after_other
+      << " s";
 }
 
 }  // namespace
