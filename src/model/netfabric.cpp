@@ -310,6 +310,7 @@ void NetFabric::run_on_node(int src_node, int dst_node,
     const sim::Time when =
         node_engine(src_node).now() + error_notify_delay_;
     if (is_boundary(src_node, dst_node)) {
+      // simcheck-allow: hot-alloc (error teardown only)
       auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
       box->fn = std::move(fn);
       exec_->send(src_node, dst_node, when, wire_word(kWireCall, 0, 0), 0, 0,
@@ -327,6 +328,7 @@ void NetFabric::run_on_node(int src_node, int dst_node,
   // +lookahead shift is the price of crossing the boundary; callers on
   // this path are error-teardown flows whose timing the chaos suite
   // already treats as fabric-internal).
+  // simcheck-allow: hot-alloc (error teardown only)
   auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
   box->fn = std::move(fn);
   exec_->send(src_node, dst_node,
@@ -368,7 +370,7 @@ void NetFabric::learn_link_dead(Shard& sh, int src, int dst) {
 MNS_HOT void NetFabric::abort_degraded(NetMsg msg) {
   ++shard_of_node(msg.src).aborted;
   on_aborted(msg);
-  if (msg.on_failed) msg.on_failed();
+  if (msg.on_failed) msg.on_failed.invoke();
 }
 
 bool NetFabric::link_known_dead(int src, int dst) const {
@@ -655,7 +657,7 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
         if (!f.msg.complete_on_delivery && f.msg.local_complete &&
             !f.local_fired) {
           f.local_fired = true;
-          f.msg.local_complete();
+          f.msg.local_complete.invoke();
         }
       }
       if (f.boundary) {
@@ -853,9 +855,9 @@ void NetFabric::deliver(MsgFlow& f) {
   }
   on_delivered(f.msg);
   if (f.msg.complete_on_delivery && f.msg.local_complete) {
-    f.msg.local_complete();
+    f.msg.local_complete.invoke();
   }
-  if (f.msg.remote_arrival) f.msg.remote_arrival();
+  if (f.msg.remote_arrival) f.msg.remote_arrival.invoke();
   release_flow(f);
 }
 
@@ -866,7 +868,7 @@ void NetFabric::finish_boundary_delivery(MsgFlow& f) {
   // callbacks) at the same instant in wire_land.
   MNS_AUDIT(f.lost == 0 && f.corrupt_mask == 0 && f.rx_discard == 0,
             "rx half delivered with packets still marked lost");
-  if (f.msg.remote_arrival) f.msg.remote_arrival();
+  if (f.msg.remote_arrival) f.msg.remote_arrival.invoke();
   release_flow(f);
 }
 
@@ -954,7 +956,7 @@ void NetFabric::fail_flow(MsgFlow& f) {
                 wire_word(kWireClose, 0, 0), f.flow_key);
   }
   on_aborted(f.msg);
-  if (f.msg.on_failed) f.msg.on_failed();
+  if (f.msg.on_failed) f.msg.on_failed.invoke();
   release_flow(f);
 }
 
@@ -1200,7 +1202,7 @@ void NetFabric::wire_land(const sim::pdes::WireMsg& m) {
   }
   on_delivered(f.msg);
   if (f.msg.complete_on_delivery && f.msg.local_complete) {
-    f.msg.local_complete();
+    f.msg.local_complete.invoke();
   }
   release_flow(f);
 }

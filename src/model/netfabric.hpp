@@ -49,9 +49,11 @@ struct WireMsg;
 namespace mns::model {
 
 /// One message travelling the fabric. Callbacks are how the MPI device
-/// layers react; the fabric itself never touches payload bytes. The
-/// callbacks are per-message (never per-packet), so type-erased closures
-/// are acceptable here.
+/// layers react; the fabric itself never touches payload bytes. Each is a
+/// single-shot sim::EventFn: a callback capturing at most two trivially
+/// copyable words (the devices pass a channel pointer and a pooled
+/// per-message record) is stored inline, so posting a message allocates
+/// nothing.
 struct NetMsg {
   int src = 0;
   int dst = 0;
@@ -62,15 +64,16 @@ struct NetMsg {
   /// directed-send acknowledgement); eager sends complete when the last
   /// byte has left the sender NIC.
   bool complete_on_delivery = false;
-  std::function<void()> local_complete;  // simlint-allow: model-alloc
-  std::function<void()> remote_arrival;  // simlint-allow: model-alloc
+  sim::EventFn local_complete;
+  /// Runs on the partition owning `dst` (the rx half of a split flow).
+  sim::EventFn remote_arrival;
   /// Fired (instead of the callbacks above that have not yet fired) when
   /// the fabric's recovery protocol exhausts its retry budget for this
   /// message — the QP-error / give-up surface the MPI device turns into an
   /// error Status. Null means the device cannot handle transport errors;
   /// the message is then silently dropped on exhaustion (audited as
   /// errored either way).
-  std::function<void()> on_failed;  // simlint-allow: model-alloc
+  sim::EventFn on_failed;
 };
 
 /// Per-fabric recovery protocol parameters (see DESIGN.md "fault &

@@ -1,21 +1,32 @@
 #include "model/nic_tlb.hpp"
 
+#include <iterator>
+
+#include "util/annotations.hpp"
+
 namespace mns::model {
 
-void NicTlb::touch(std::uint64_t page, bool& missed) {
+// MNS_HOT: a hit splices its list node to the front and a miss at
+// capacity re-keys the evicted page's list and map nodes, so the LRU
+// allocates only while the table fills for the first time.
+MNS_HOT void NicTlb::touch(std::uint64_t page, bool& missed) {
   const auto it = map_.find(page);
   if (it != map_.end()) {
     ++hits_;
-    lru_.erase(it->second);
-    lru_.push_front(page);
-    it->second = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   ++misses_;
   missed = true;
-  while (map_.size() >= cfg_.entries && !lru_.empty()) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
+  if (map_.size() >= cfg_.entries && !lru_.empty()) {
+    // Evict the least recent page and reuse both of its nodes.
+    auto node = map_.extract(lru_.back());
+    lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+    lru_.front() = page;
+    node.key() = page;
+    node.mapped() = lru_.begin();
+    map_.insert(std::move(node));
+    return;
   }
   lru_.push_front(page);
   map_.emplace(page, lru_.begin());

@@ -2,6 +2,7 @@
 
 #include "audit/audit.hpp"
 #include "audit/report.hpp"
+#include "util/annotations.hpp"
 
 namespace mns::model {
 
@@ -12,14 +13,17 @@ sim::Time RegistrationCache::register_cost(std::uint64_t bytes) const {
          cfg_.register_per_page * static_cast<std::int64_t>(pages);
 }
 
-sim::Time RegistrationCache::acquire(std::uint64_t addr, std::uint64_t bytes) {
+// MNS_HOT: a hit splices its LRU node to the front; a dropped region
+// parks its list node on spare_lru_ and its map node on spare_region_, and
+// the next insert re-keys them, so the cache allocates only while it
+// holds more regions than ever before.
+MNS_HOT sim::Time RegistrationCache::acquire(std::uint64_t addr,
+                                             std::uint64_t bytes) {
   ++acquires_;
   const auto it = regions_.find(addr);
   if (it != regions_.end() && it->second.bytes >= bytes) {
     ++hits_;
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(addr);
-    it->second.lru_pos = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return sim::Time::zero();
   }
 
@@ -30,36 +34,53 @@ sim::Time RegistrationCache::acquire(std::uint64_t addr, std::uint64_t bytes) {
     MNS_AUDIT(pinned_bytes_ >= it->second.bytes,
               "regcache: pinned_bytes underflow on re-registration");
     pinned_bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru_pos);
-    regions_.erase(it);
+    drop(it);
     ++reregisters_;
     cost += cfg_.deregister_cost;
   }
 
   // Evict least-recently-used regions until the new one fits.
   while (pinned_bytes_ + bytes > cfg_.capacity_bytes && !lru_.empty()) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    const auto vit = regions_.find(victim);
+    const auto vit = regions_.find(lru_.back());
     MNS_AUDIT(vit != regions_.end(),
               "regcache: LRU victim has no region entry");
     pinned_bytes_ -= vit->second.bytes;
-    regions_.erase(vit);
+    drop(vit);
     cost += cfg_.deregister_cost;
     ++evictions_;
   }
 
   cost += register_cost(bytes);
-  lru_.push_front(addr);
-  regions_.emplace(addr, Region{bytes, lru_.begin()});
+  if (!spare_lru_.empty()) {
+    lru_.splice(lru_.begin(), spare_lru_, spare_lru_.begin());
+    lru_.front() = addr;
+  } else {
+    lru_.push_front(addr);
+  }
+  if (!spare_region_.empty()) {
+    spare_region_.key() = addr;
+    spare_region_.mapped() = Region{bytes, lru_.begin()};
+    regions_.insert(std::move(spare_region_));
+  } else {
+    regions_.emplace(addr, Region{bytes, lru_.begin()});
+  }
   pinned_bytes_ += bytes;
   return cost;
+}
+
+void RegistrationCache::drop(RegionMap::iterator it) {
+  spare_lru_.splice(spare_lru_.begin(), lru_, it->second.lru_pos);
+  // One parked map node is enough: every drop is followed by the insert
+  // that re-keys it (a miss drops at most a few regions).
+  spare_region_ = regions_.extract(it);
 }
 
 void RegistrationCache::clear() {
   cleared_regions_ += regions_.size();
   regions_.clear();
   lru_.clear();
+  spare_lru_.clear();
+  spare_region_ = {};
   pinned_bytes_ = 0;
 }
 

@@ -100,11 +100,17 @@ class RegistrationCache {
     std::list<std::uint64_t>::iterator lru_pos;
   };
 
+  using RegionMap = std::unordered_map<std::uint64_t, Region>;
+
   sim::Time register_cost(std::uint64_t bytes) const;
+  /// Remove a region, keeping its list and map nodes for reuse.
+  void drop(RegionMap::iterator it);
 
   RegCacheConfig cfg_;
-  std::unordered_map<std::uint64_t, Region> regions_;  // keyed by base addr
-  std::list<std::uint64_t> lru_;                       // front = most recent
+  RegionMap regions_;             // keyed by base addr
+  std::list<std::uint64_t> lru_;  // front = most recent
+  std::list<std::uint64_t> spare_lru_;  // list nodes of dropped regions
+  RegionMap::node_type spare_region_;   // map node of the last drop
   std::uint64_t pinned_bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

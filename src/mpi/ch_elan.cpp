@@ -30,7 +30,7 @@ ElanChannelConfig default_elan_channel_config() {
 
 ElanChannel::ElanChannel(Mpi& mpi, elan::ElanFabric& fabric,
                          ElanChannelConfig cfg)
-    : mpi_(&mpi), fabric_(&fabric), cfg_(cfg) {}
+    : mpi_(&mpi), fabric_(&fabric), cfg_(cfg), msgs_(fabric) {}
 
 std::uint64_t ElanChannel::memory_bytes(int node) const {
   return fabric_->memory_bytes(node);
@@ -41,54 +41,74 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
   co_await sp.cpu().busy(cfg_.o_send);
 
   const Envelope env = op.env;
-  auto req = op.req;
   const bool buffered = !op.synchronous && env.bytes <= cfg_.buffered_max;
-  const View src_view = op.buf;
+  const int snode = mpi_->node_of(env.src);
+  const int dnode = mpi_->node_of(env.dst);
 
+  // MPI_Ssend semantics: completion is tied to the receiver's match, not
+  // to delivery into the Elan system buffer, so only the receiver side
+  // holds a reference.
+  Msg* m = msgs_.acquire(snode, dnode, op.synchronous ? 1 : 2);
+  m->env = env;
+  m->req = op.req;
+  m->src_view = op.buf;
+  m->sync = op.synchronous;
+  m->send_done = false;
   // Buffered (small) sends may complete before delivery, so the payload
   // must be captured up front; large sends are zero-copy and the payload
   // is read inside remote_arrival (before the sender resumes).
-  auto payload_slot = std::make_shared<std::vector<std::byte>>();
-  if (buffered && !src_view.synthetic() && env.bytes > 0) {
-    payload_slot->assign(src_view.data(), src_view.data() + env.bytes);
+  m->payload.clear();
+  if (buffered && !op.buf.synthetic() && env.bytes > 0) {
+    // simcheck-allow: hot-alloc (real payloads only; the record keeps its capacity)
+    m->payload.assign(op.buf.data(), op.buf.data() + env.bytes);
   }
 
-  // MPI_Ssend semantics: completion is tied to the receiver's match, not
-  // to delivery into the Elan system buffer.
-  const auto sync_req =
-      op.synchronous ? req : std::shared_ptr<RequestState>{};
-
-  model::NetMsg m;
-  m.src = mpi_->node_of(env.src);
-  m.dst = mpi_->node_of(env.dst);
-  m.bytes = cfg_.ctrl_bytes + env.bytes;
-  m.src_addr = src_view.addr();
-  m.dst_addr = 0;  // final placement decided by NIC matching on arrival
-  m.complete_on_delivery = !buffered;
-  if (!sync_req) {
-    m.local_complete = [req, env] { req->complete(status_of(env)); };
+  model::NetMsg nm;
+  nm.src = snode;
+  nm.dst = dnode;
+  nm.bytes = cfg_.ctrl_bytes + env.bytes;
+  nm.src_addr = op.buf.addr();
+  nm.dst_addr = 0;  // final placement decided by NIC matching on arrival
+  nm.complete_on_delivery = !buffered;
+  if (!op.synchronous) {
+    nm.local_complete = [this, m] { complete_send(m); };
   }
-  m.remote_arrival = [this, env, payload_slot, src_view, sync_req] {
-    on_arrival(env, payload_slot, src_view, sync_req);
-  };
-  m.on_failed = [this, req, env] {
-    // Elan hardware retry exhausted. Buffered sends already completed at
-    // NIC-clear; zero-copy and synchronous ones complete with the error
-    // here. The receiver learns of the failure through NIC matching (the
-    // error envelope), exactly where the data would have matched.
-    if (!req->done) req->complete(error_status(env));
-    // Fires on the sender's partition; the receiver's matcher lives on
-    // its own — route the error-envelope match there.
-    fabric_->run_on_node(mpi_->node_of(env.src), mpi_->node_of(env.dst),
-                         [this, env] { on_failed_arrival(env); });
-  };
-  fabric_->post(std::move(m));
+  nm.remote_arrival = [this, m] { on_arrival(m); };
+  nm.on_failed = [this, m] { fail_send(m); };
+  fabric_->post(std::move(nm));
 }
 
-void ElanChannel::on_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload_slot,
-    View src_view, std::shared_ptr<RequestState> sync_req) {
+void ElanChannel::complete_send(Msg* m) {
+  m->send_done = true;
+  m->req->complete(status_of(m->env));
+  release(m);
+}
+
+void ElanChannel::fail_send(Msg* m) {
+  // Elan hardware retry exhausted. Buffered sends already completed at
+  // NIC-clear; zero-copy and synchronous ones complete with the error
+  // here. The receiver learns of the failure through NIC matching (the
+  // error envelope), exactly where the data would have matched.
+  if (!m->send_done) {
+    m->send_done = true;
+    m->req->complete(error_status(m->env));
+    if (!m->sync) release(m);
+  }
+  // Fires on the sender's partition; the receiver's matcher lives on
+  // its own — route the error-envelope match there, handing it the
+  // receiver side's reference (the data never arrives).
+  const int snode = mpi_->node_of(m->env.src);
+  const int dnode = mpi_->node_of(m->env.dst);
+  // simcheck-allow: hot-alloc (error teardown only)
+  fabric_->run_on_node(snode, dnode, [this, m] {
+    on_failed_arrival(m->env);
+    release(m);
+  });
+}
+
+void ElanChannel::on_arrival(Msg* m) {
   // NIC-side matching: runs NOW, regardless of what the host is doing.
+  const Envelope env = m->env;
   auto& rp = mpi_->proc(env.dst);
   const int dnode = mpi_->node_of(env.dst);
 
@@ -106,57 +126,66 @@ void ElanChannel::on_arrival(
     // buffer; the destination pages may stall the NIC MMU.
     const sim::Time stall =
         scan + fabric_->mmu(dnode).access(pr->buf.addr(), env.bytes);
-    auto shared_pr = std::make_shared<PostedRecv>(std::move(*pr));
     // Payload: buffered small sends carry a captured copy; zero-copy large
     // sends read the source view, still intact at this instant.
-    if (!shared_pr->buf.synthetic()) {
+    if (!pr->buf.synthetic()) {
       const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(env.bytes, shared_pr->buf.bytes()));
-      if (!payload_slot->empty()) {
-        std::memcpy(shared_pr->buf.data(), payload_slot->data(), n);
+          std::min<std::uint64_t>(env.bytes, pr->buf.bytes()));
+      if (!m->payload.empty()) {
+        std::memcpy(pr->buf.data(), m->payload.data(), n);
       } else {
-        copy_payload(src_view, shared_pr->buf, n);
+        copy_payload(m->src_view, pr->buf, n);
       }
     }
-    if (sync_req) sync_req->complete(status_of(env));  // matched: ssend done
+    if (m->sync) {  // matched: ssend done
+      m->send_done = true;
+      m->req->complete(status_of(env));
+    }
+    release(m);
     rp.cpu().accrue_overhead(cfg_.o_complete);
     // The scan + MMU work occupies the NIC processor, serializing with
     // other arrivals (this is what makes a many-receiver burst like
     // alltoall expensive on Quadrics, Fig. 11).
-    mpi_->engine_of(env.dst).spawn(
-        [](ElanChannel& self, int dnode, sim::Time stall,
-           std::shared_ptr<PostedRecv> pr, Envelope env) -> sim::Task<void> {
-          co_await self.fabric_->occupy_nic(dnode, stall);
-          co_await self.mpi_->engine_of(env.dst).delay(self.cfg_.o_complete);
-          pr->req->complete(status_of(env));
-        }(*this, dnode, stall, shared_pr, env),
-        /*daemon=*/true);
+    mpi_->engine_of(env.dst).spawn(deliver(dnode, stall, *pr, env),
+                                   /*daemon=*/true);
     return;
   }
 
   // Unexpected: lands in the Elan system buffer. Capture the payload now
   // (zero-copy source is still valid at this instant).
-  if (payload_slot->empty() && !src_view.synthetic() && env.bytes > 0) {
-    payload_slot->assign(src_view.data(), src_view.data() + env.bytes);
+  if (m->payload.empty() && !m->src_view.synthetic() && env.bytes > 0) {
+    // simcheck-allow: hot-alloc (real payloads only; the record keeps its capacity)
+    m->payload.assign(m->src_view.data(), m->src_view.data() + env.bytes);
   }
   rp.matcher().add_unexpected(
-      {env,
-       [this, env, payload_slot, sync_req](PostedRecv pr) -> sim::Task<void> {
-         if (sync_req) sync_req->complete(status_of(env));
-         // Receiver claims from the system buffer: copy-out on the host.
-         auto& rp2 = mpi_->proc(env.dst);
-         const int dn = mpi_->node_of(env.dst);
-         const sim::Time cost =
-             cfg_.o_unexpected +
-             fabric_->node(dn).mem().copy_time(env.bytes);
-         co_await rp2.cpu().busy(cost);
-         if (!pr.buf.synthetic() && !payload_slot->empty()) {
-           std::memcpy(pr.buf.data(), payload_slot->data(),
-                       static_cast<std::size_t>(std::min<std::uint64_t>(
-                           env.bytes, pr.buf.bytes())));
-         }
-         pr.req->complete(status_of(env));
-       }});
+      {env, [this, m](PostedRecv pr) { return claim(m, pr); }});
+}
+
+sim::Task<void> ElanChannel::deliver(int dnode, sim::Time stall,
+                                     PostedRecv pr, Envelope env) {
+  co_await fabric_->occupy_nic(dnode, stall);
+  co_await mpi_->engine_of(env.dst).delay(cfg_.o_complete);
+  pr.req->complete(status_of(env));
+}
+
+sim::Task<void> ElanChannel::claim(Msg* m, PostedRecv pr) {
+  if (m->sync) {
+    m->send_done = true;
+    m->req->complete(status_of(m->env));
+  }
+  // Receiver claims from the system buffer: copy-out on the host.
+  auto& rp = mpi_->proc(m->env.dst);
+  const int dn = mpi_->node_of(m->env.dst);
+  const sim::Time cost =
+      cfg_.o_unexpected + fabric_->node(dn).mem().copy_time(m->env.bytes);
+  co_await rp.cpu().busy(cost);
+  if (!pr.buf.synthetic() && !m->payload.empty()) {
+    std::memcpy(pr.buf.data(), m->payload.data(),
+                static_cast<std::size_t>(
+                    std::min<std::uint64_t>(m->env.bytes, pr.buf.bytes())));
+  }
+  pr.req->complete(status_of(m->env));
+  release(m);
 }
 
 void ElanChannel::on_failed_arrival(const Envelope& env) {
@@ -168,11 +197,21 @@ void ElanChannel::on_failed_arrival(const Envelope& env) {
     pr->req->complete(error_status(env));
     return;
   }
+  // The envelope waits in a receiver-side record until claimed.
+  const int node = mpi_->node_of(env.dst);
+  Msg* m = msgs_.acquire(node, node, 1);
+  m->env = env;
+  m->req = nullptr;
+  m->sync = false;
+  m->payload.clear();
   rp.matcher().add_unexpected(
-      {env, [env](PostedRecv pr) -> sim::Task<void> {
-         pr.req->complete(error_status(env));
-         co_return;
-       }});
+      {env, [this, m](PostedRecv pr) { return claim_error(m, pr); }});
+}
+
+sim::Task<void> ElanChannel::claim_error(Msg* m, PostedRecv pr) {
+  pr.req->complete(error_status(m->env));
+  release(m);
+  co_return;
 }
 
 void ElanChannel::hw_broadcast(Rank root, std::uint64_t bytes,

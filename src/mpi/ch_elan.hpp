@@ -18,6 +18,7 @@
 #include "elan/elan_fabric.hpp"
 #include "mpi/device.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/records.hpp"
 
 namespace mns::mpi {
 
@@ -50,10 +51,26 @@ class ElanChannel final : public Device {
   const char* name() const override { return "ch_elan"; }
 
  private:
-  void on_arrival(Envelope env,
-                  std::shared_ptr<std::vector<std::byte>> payload_slot,
-                  View src_view,
-                  std::shared_ptr<RequestState> sync_req);
+  /// One Tport message. References: the receiver side (NIC matching
+  /// through delivery or the unexpected claim) and, unless synchronous,
+  /// the sender side (local completion or failure). A synchronous send's
+  /// request completes on the receiver's match instead.
+  struct Msg : PooledRecord<Msg> {
+    Envelope env;
+    RequestState* req = nullptr;  // the send request
+    View src_view;
+    bool sync = false;
+    bool send_done = false;
+    std::vector<std::byte> payload;  // buffered or unexpected real data
+  };
+
+  void complete_send(Msg* m);
+  void fail_send(Msg* m);
+  void on_arrival(Msg* m);
+  sim::Task<void> deliver(int dnode, sim::Time stall, PostedRecv pr,
+                          Envelope env);
+  sim::Task<void> claim(Msg* m, PostedRecv pr);
+  sim::Task<void> claim_error(Msg* m, PostedRecv pr);
   /// Fabric retry exhaustion: surface the error envelope through NIC
   /// matching so the receive side completes with Status::error.
   void on_failed_arrival(const Envelope& env);
@@ -61,6 +78,7 @@ class ElanChannel final : public Device {
   Mpi* mpi_;
   elan::ElanFabric* fabric_;
   ElanChannelConfig cfg_;
+  Records<Msg> msgs_;
 };
 
 }  // namespace mns::mpi

@@ -13,14 +13,12 @@ Status error_status(const Envelope& env) {
 }
 }  // namespace
 
-std::function<void(std::function<void()>)> RdvChannel::host_gate(
-    Proc& proc) const {
+void RdvChannel::gate(Proc& proc, sim::EventFn fn) const {
   if (cfg_.nic_progress) {
-    return [](std::function<void()> fn) { fn(); };
-  }
-  return [&proc](std::function<void()> fn) {
+    fn.invoke();
+  } else {
     proc.host_action(std::move(fn));
-  };
+  }
 }
 
 sim::Time RdvChannel::match_scan_cost(Proc& rp) const {
@@ -39,7 +37,9 @@ RdvChannel::RdvChannel(Mpi& mpi, model::NetFabric& fabric,
       fabric_(&fabric),
       cfg_(std::move(cfg)),
       regcache_(std::move(regcache)),
-      memory_(std::move(memory)) {
+      memory_(std::move(memory)),
+      buffered_(fabric),
+      rdv_(fabric) {
   shm_.reserve(fabric_->node_count());
   for (std::size_t n = 0; n < fabric_->node_count(); ++n) {
     // Intra-node traffic only ever touches the node's own domain, so each
@@ -60,13 +60,21 @@ void RdvChannel::hw_broadcast(Rank root, std::uint64_t bytes,
                                  cfg_.hw_bcast_overhead, std::move(done));
 }
 
-std::shared_ptr<std::vector<std::byte>> RdvChannel::capture(
-    const View& v) const {
-  auto out = std::make_shared<std::vector<std::byte>>();
-  if (!v.synthetic() && v.bytes() > 0) {
-    out->assign(v.data(), v.data() + v.bytes());
+RdvChannel::Buffered* RdvChannel::new_buffered(const SendOp& op,
+                                               std::uint32_t refs) {
+  Buffered* b = buffered_.acquire(mpi_->node_of(op.env.src),
+                                  mpi_->node_of(op.env.dst), refs);
+  b->env = op.env;
+  b->req = op.req;
+  b->local_done = false;
+  b->cost = sim::Time::zero();
+  // Synthetic and empty views carry no bytes: nothing to capture.
+  b->payload.clear();
+  if (!op.buf.synthetic() && op.buf.bytes() > 0) {
+    // simcheck-allow: hot-alloc (real payloads only; the record keeps its capacity)
+    b->payload.assign(op.buf.data(), op.buf.data() + op.buf.bytes());
   }
-  return out;
+  return b;
 }
 
 sim::Task<void> RdvChannel::start_send(SendOp op) {
@@ -85,46 +93,72 @@ sim::Task<void> RdvChannel::start_send(SendOp op) {
   }
 }
 
+// --- buffered delivery (shared memory and eager) ----------------------------
+
+// Receiver side, host-gated: match the arrival or queue it as unexpected.
+void RdvChannel::match_buffered(Buffered* b) {
+  auto& rp = mpi_->proc(b->env.dst);
+  if (auto pr = rp.matcher().match_arrival(b->env)) {
+    // Completion processing runs on the receiving host CPU: concurrent
+    // arrivals serialize through the rank's host-work queue.
+    rp.cpu().accrue_overhead(b->cost);
+    mpi_->engine_of(b->env.dst)
+        .spawn(deliver_buffered(rp, b, *pr), /*daemon=*/true);
+  } else {
+    rp.matcher().add_unexpected(
+        {b->env,
+         [this, b](PostedRecv pr) { return claim_buffered(b, pr); }});
+  }
+}
+
+namespace {
+void copy_out(const std::vector<std::byte>& payload, const Envelope& env,
+              const PostedRecv& pr) {
+  if (!pr.buf.synthetic() && !payload.empty()) {
+    std::memcpy(pr.buf.data(), payload.data(),
+                static_cast<std::size_t>(
+                    std::min<std::uint64_t>(env.bytes, pr.buf.bytes())));
+  }
+}
+}  // namespace
+
+sim::Task<void> RdvChannel::deliver_buffered(Proc& rp, Buffered* b,
+                                             PostedRecv pr) {
+  co_await rp.host_work().occupy(b->cost);
+  copy_out(b->payload, b->env, pr);
+  pr.req->complete(status_of(b->env));
+  release(b);
+}
+
+sim::Task<void> RdvChannel::claim_buffered(Buffered* b, PostedRecv pr) {
+  co_await mpi_->proc(b->env.dst).cpu().busy(b->cost);
+  copy_out(b->payload, b->env, pr);
+  pr.req->complete(status_of(b->env));
+  release(b);
+}
+
 // --- shared memory path ---------------------------------------------------
 
 sim::Task<void> RdvChannel::send_shm(SendOp op) {
   const int node = mpi_->node_of(op.env.src);
-  auto payload = capture(op.buf);
-  const Envelope env = op.env;
-  auto req = op.req;
+  // One reference: the receiver's. The sender completes below.
+  Buffered* b = new_buffered(op, 1);
 
   shm::ShmMsg m;
-  m.src_rank = env.src;
-  m.dst_rank = env.dst;
-  m.bytes = env.bytes;
-  m.remote_arrival = [this, env, payload] { on_shm_arrival(env, payload); };
+  m.src_rank = op.env.src;
+  m.dst_rank = op.env.dst;
+  m.bytes = op.env.bytes;
+  m.remote_arrival = [this, b] { on_shm_arrival(b); };
   co_await shm_[static_cast<std::size_t>(node)]->send_copy(std::move(m));
-  req->complete(status_of(env));  // buffered: sender is done after copy-in
+  // Buffered: the sender is done after the copy-in.
+  op.req->complete(status_of(op.env));
 }
 
-void RdvChannel::on_shm_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload) {
-  auto& rp = mpi_->proc(env.dst);
-  auto& dom = *shm_[static_cast<std::size_t>(mpi_->node_of(env.dst))];
-  const sim::Time cost = dom.recv_cost(env.bytes) + match_scan_cost(rp);
-  host_gate(rp)([this, env, payload, cost, &rp] {
-    if (auto pr = rp.matcher().match_arrival(env)) {
-      deliver_buffered(env, payload, std::move(*pr), cost);
-    } else {
-      rp.matcher().add_unexpected(
-          {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
-             auto& rp2 = mpi_->proc(env.dst);
-             co_await rp2.cpu().busy(cost);
-             if (!pr.buf.synthetic() && !payload->empty()) {
-               std::memcpy(pr.buf.data(), payload->data(),
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(env.bytes,
-                                                       pr.buf.bytes())));
-             }
-             pr.req->complete(status_of(env));
-           }});
-    }
-  });
+void RdvChannel::on_shm_arrival(Buffered* b) {
+  auto& rp = mpi_->proc(b->env.dst);
+  auto& dom = *shm_[static_cast<std::size_t>(mpi_->node_of(b->env.dst))];
+  b->cost = dom.recv_cost(b->env.bytes) + match_scan_cost(rp);
+  gate(rp, [this, b] { match_buffered(b); });
 }
 
 // --- fabric-error degradation ----------------------------------------------
@@ -141,40 +175,63 @@ void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
   // on_failed hooks fire on the engine owning the failed message's source
   // node; the receiver's matcher and CPU belong to its own partition, so
   // the teardown routes there (inline when they share a partition).
+  // simcheck-allow: hot-alloc (error teardown only)
   fabric_->run_on_node(from_node, mpi_->node_of(env.dst), [this, env] {
     auto& rp = mpi_->proc(env.dst);
-    host_gate(rp)([this, env, &rp] {
-      rp.cpu().accrue_overhead(cfg_.o_recv);
-      if (auto pr = rp.matcher().match_arrival(env)) {
-        pr->req->complete(error_status(env));
+    const int node = mpi_->node_of(env.dst);
+    // The error envelope lives in a receiver-side record until claimed.
+    Buffered* b = buffered_.acquire(node, node, 1);
+    b->env = env;
+    b->req = nullptr;
+    b->payload.clear();
+    gate(rp, [this, b] {
+      auto& rp2 = mpi_->proc(b->env.dst);
+      rp2.cpu().accrue_overhead(cfg_.o_recv);
+      if (auto pr = rp2.matcher().match_arrival(b->env)) {
+        pr->req->complete(error_status(b->env));
+        release(b);
       } else {
-        rp.matcher().add_unexpected(
-            {env, [env](PostedRecv pr) -> sim::Task<void> {
-               pr.req->complete(error_status(env));
-               co_return;
-             }});
+        rp2.matcher().add_unexpected(
+            {b->env,
+             [this, b](PostedRecv pr) { return claim_error(b, pr); }});
       }
     });
   });
 }
 
-void RdvChannel::fail_rendezvous(std::shared_ptr<RdvState> st,
-                                 int from_node) {
-  const Envelope env = st->send.env;
-  // Each side's request completes on its own partition; the done flags
-  // are checked inside the routed closures, where the owning engine's
-  // view of them is current.
-  fabric_->run_on_node(from_node, mpi_->node_of(env.src), [st, env] {
-    if (!st->send.req->done) st->send.req->complete(error_status(env));
+sim::Task<void> RdvChannel::claim_error(Buffered* b, PostedRecv pr) {
+  pr.req->complete(error_status(b->env));
+  release(b);
+  co_return;
+}
+
+void RdvChannel::fail_rendezvous(Rdv* r, int from_node) {
+  const Envelope env = r->send.env;
+  // Each side's request completes on its own partition, so each route
+  // holds its own reference (the handshake's plus one more) and reads
+  // only its own side's flags.
+  r->refs.fetch_add(1, std::memory_order_relaxed);
+  // simcheck-allow: hot-alloc (error teardown only)
+  fabric_->run_on_node(from_node, mpi_->node_of(env.src), [r] {
+    if (!r->send_done) {
+      r->send_done = true;
+      r->send.req->complete(error_status(r->send.env));
+    }
+    release(r);
   });
-  fabric_->run_on_node(from_node, mpi_->node_of(env.dst), [this, st, env] {
-    if (st->recv_matched) {
+  // simcheck-allow: hot-alloc (error teardown only)
+  fabric_->run_on_node(from_node, mpi_->node_of(env.dst), [this, r] {
+    if (r->recv_matched) {
       // The receiver already matched (RTS made it); complete its request
       // directly rather than re-running the matcher.
-      if (!st->recv.req->done) st->recv.req->complete(error_status(env));
+      if (!r->recv_done) {
+        r->recv_done = true;
+        r->recv.req->complete(error_status(r->send.env));
+      }
     } else {
-      fail_recv_side(env, mpi_->node_of(env.dst));
+      fail_recv_side(r->send.env, mpi_->node_of(r->send.env.dst));
     }
+    release(r);
   });
 }
 
@@ -187,75 +244,45 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   // Copy into pre-registered staging: sender CPU pays the memcpy.
   co_await sp.cpu().busy(
       fabric_->node(snode).mem().copy_time(op.env.bytes));
-  auto payload = capture(op.buf);
-  const Envelope env = op.env;
-  auto req = op.req;
+  // Two references: the sender's completion and the receiver's delivery.
+  Buffered* b = new_buffered(op, 2);
 
   model::NetMsg m;
   m.src = snode;
   m.dst = dnode;
-  m.bytes = cfg_.ctrl_bytes + env.bytes;
+  m.bytes = cfg_.ctrl_bytes + op.env.bytes;
   m.complete_on_delivery = false;
-  m.local_complete = [req, env] { req->complete(status_of(env)); };
-  m.remote_arrival = [this, env, payload] { on_eager_arrival(env, payload); };
-  m.on_failed = [this, req, env] {
-    // Eager sends complete when the data leaves the NIC, so the send
-    // request is normally already done here; only the receiver still
-    // waits on the lost payload. Fires on the sender's partition.
-    if (!req->done) req->complete(error_status(env));
-    fail_recv_side(env, mpi_->node_of(env.src));
-  };
+  m.local_complete = [this, b] { complete_eager(b); };
+  m.remote_arrival = [this, b] { on_eager_arrival(b); };
+  m.on_failed = [this, b] { fail_eager(b); };
   fabric_->post(std::move(m));
 }
 
-void RdvChannel::on_eager_arrival(
-    Envelope env, std::shared_ptr<std::vector<std::byte>> payload) {
-  auto& rp = mpi_->proc(env.dst);
-  const int dnode = mpi_->node_of(env.dst);
-  const sim::Time cost = cfg_.o_recv +
-                         fabric_->node(dnode).mem().copy_time(env.bytes) +
-                         match_scan_cost(rp);
-  host_gate(rp)([this, env, payload, cost, &rp] {
-    if (auto pr = rp.matcher().match_arrival(env)) {
-      deliver_buffered(env, payload, std::move(*pr), cost);
-    } else {
-      rp.matcher().add_unexpected(
-          {env, [this, env, payload, cost](PostedRecv pr) -> sim::Task<void> {
-             auto& rp2 = mpi_->proc(env.dst);
-             co_await rp2.cpu().busy(cost);
-             if (!pr.buf.synthetic() && !payload->empty()) {
-               std::memcpy(pr.buf.data(), payload->data(),
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(env.bytes,
-                                                       pr.buf.bytes())));
-             }
-             pr.req->complete(status_of(env));
-           }});
-    }
-  });
+void RdvChannel::complete_eager(Buffered* b) {
+  b->local_done = true;
+  b->req->complete(status_of(b->env));
+  release(b);
 }
 
-void RdvChannel::deliver_buffered(
-    const Envelope& env, std::shared_ptr<std::vector<std::byte>> payload,
-    PostedRecv pr, sim::Time cost) {
-  auto& rp = mpi_->proc(env.dst);
-  rp.cpu().accrue_overhead(cost);
-  auto shared_pr = std::make_shared<PostedRecv>(std::move(pr));
-  // Completion processing runs on the receiving host CPU: concurrent
-  // arrivals serialize through the rank's host-work queue.
-  mpi_->engine_of(env.dst).spawn(
-      [](Proc& rp, sim::Time cost, Envelope env,
-         std::shared_ptr<std::vector<std::byte>> payload,
-         std::shared_ptr<PostedRecv> pr) -> sim::Task<void> {
-        co_await rp.host_work().occupy(cost);
-        if (!pr->buf.synthetic() && !payload->empty()) {
-          std::memcpy(pr->buf.data(), payload->data(),
-                      static_cast<std::size_t>(std::min<std::uint64_t>(
-                          env.bytes, pr->buf.bytes())));
-        }
-        pr->req->complete(status_of(env));
-      }(rp, cost, env, payload, shared_pr),
-      /*daemon=*/true);
+void RdvChannel::fail_eager(Buffered* b) {
+  // Eager sends complete when the data leaves the NIC, so the send
+  // request is normally already done here; only the receiver still
+  // waits on the lost payload. Fires on the sender's partition.
+  if (!b->local_done) {
+    b->local_done = true;
+    b->req->complete(error_status(b->env));
+    release(b);
+  }
+  fail_recv_side(b->env, mpi_->node_of(b->env.src));
+  release(b);  // the receiver's reference: the data never arrives
+}
+
+void RdvChannel::on_eager_arrival(Buffered* b) {
+  auto& rp = mpi_->proc(b->env.dst);
+  const int dnode = mpi_->node_of(b->env.dst);
+  b->cost = cfg_.o_recv + fabric_->node(dnode).mem().copy_time(b->env.bytes) +
+            match_scan_cost(rp);
+  gate(rp, [this, b] { match_buffered(b); });
 }
 
 // --- rendezvous path --------------------------------------------------------
@@ -283,159 +310,163 @@ sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
     }
   }
 
-  auto st = std::make_shared<RdvState>();
-  st->send = std::move(op);
+  Rdv* r = rdv_.acquire(snode, mpi_->node_of(op.env.dst), 1);
+  r->send = op;
+  r->recv = PostedRecv{};
+  r->recv_matched = false;
+  r->recv_done = false;
+  r->send_done = false;
 
   model::NetMsg rts;
   rts.src = snode;
-  rts.dst = mpi_->node_of(st->send.env.dst);
+  rts.dst = mpi_->node_of(op.env.dst);
   rts.bytes = cfg_.ctrl_bytes;
-  rts.remote_arrival = [this, st] { on_rts(st); };
-  rts.on_failed = [this, st, snode] { fail_rendezvous(st, snode); };
+  rts.remote_arrival = [this, r] { on_rts(r); };
+  rts.on_failed = [this, r] {
+    fail_rendezvous(r, mpi_->node_of(r->send.env.src));
+  };
   fabric_->post(std::move(rts));
 }
 
-void RdvChannel::on_rts(std::shared_ptr<RdvState> st) {
-  auto& rp = mpi_->proc(st->send.env.dst);
-  host_gate(rp)([this, st, &rp] {
-    rp.cpu().accrue_overhead(match_scan_cost(rp));
-    if (auto pr = rp.matcher().match_arrival(st->send.env)) {
-      st->recv = std::move(*pr);
-      st->recv_matched = true;
-      issue_cts(st);
-    } else {
-      rp.matcher().add_unexpected(
-          {st->send.env, [this, st](PostedRecv pr) -> sim::Task<void> {
-             st->recv = std::move(pr);
-             st->recv_matched = true;
-             auto& rp2 = mpi_->proc(st->send.env.dst);
-             const int dnode = mpi_->node_of(st->send.env.dst);
-             sim::Time cost = cfg_.o_ctrl;
-             if (cfg_.use_regcache) {
-               const auto reg = regcache_(dnode).try_acquire(
-                   st->recv.buf.addr(), st->send.env.bytes);
-               cost += reg.cost;
-               // The receive buffer must be pinned before the CTS can
-               // advertise it; retry a transient failure.
-               if (!reg.ok) {
-                 cost += regcache_(dnode).acquire(st->recv.buf.addr(),
-                                                  st->send.env.bytes);
-               }
-             }
-             co_await rp2.cpu().busy(cost);
-             // CTS back to the sender.
-             model::NetMsg cts;
-             cts.src = dnode;
-             cts.dst = mpi_->node_of(st->send.env.src);
-             cts.bytes = cfg_.ctrl_bytes;
-             cts.remote_arrival = [this, st] { on_cts(st); };
-             cts.on_failed = [this, st, dnode] {
-               fail_rendezvous(st, dnode);
-             };
-             fabric_->post(std::move(cts));
-           }});
-    }
-  });
+void RdvChannel::on_rts(Rdv* r) {
+  gate(mpi_->proc(r->send.env.dst), [this, r] { match_rts(r); });
 }
 
-void RdvChannel::issue_cts(std::shared_ptr<RdvState> st) {
-  auto& rp = mpi_->proc(st->send.env.dst);
-  const int dnode = mpi_->node_of(st->send.env.dst);
+void RdvChannel::match_rts(Rdv* r) {
+  auto& rp = mpi_->proc(r->send.env.dst);
+  rp.cpu().accrue_overhead(match_scan_cost(rp));
+  if (auto pr = rp.matcher().match_arrival(r->send.env)) {
+    r->recv = *pr;
+    r->recv_matched = true;
+    const sim::Time cost = cts_cost(r);
+    rp.cpu().accrue_overhead(cost);
+    mpi_->engine_of(r->send.env.dst)
+        .spawn(send_cts_after(rp, cost, r), /*daemon=*/true);
+  } else {
+    rp.matcher().add_unexpected(
+        {r->send.env, [this, r](PostedRecv pr) { return claim_rts(r, pr); }});
+  }
+}
+
+sim::Time RdvChannel::cts_cost(Rdv* r) {
+  const int dnode = mpi_->node_of(r->send.env.dst);
   sim::Time cost = cfg_.o_ctrl;
   if (cfg_.use_regcache) {
     const auto reg =
-        regcache_(dnode).try_acquire(st->recv.buf.addr(),
-                                     st->send.env.bytes);
+        regcache_(dnode).try_acquire(r->recv.buf.addr(), r->send.env.bytes);
     cost += reg.cost;
-    // See on_rts: a failed receive-buffer pin is retried before the CTS.
+    // The receive buffer must be pinned before the CTS can advertise it;
+    // retry a transient failure.
     if (!reg.ok) {
-      cost += regcache_(dnode).acquire(st->recv.buf.addr(),
-                                       st->send.env.bytes);
+      cost += regcache_(dnode).acquire(r->recv.buf.addr(), r->send.env.bytes);
     }
   }
-  rp.cpu().accrue_overhead(cost);
-  mpi_->engine_of(st->send.env.dst)
-      .spawn(
-          [](RdvChannel& self, Proc& rp, sim::Time cost,
-             std::shared_ptr<RdvState> st, int dnode) -> sim::Task<void> {
-            co_await rp.host_work().occupy(cost);
-            model::NetMsg cts;
-            cts.src = dnode;
-            cts.dst = self.mpi_->node_of(st->send.env.src);
-            cts.bytes = self.cfg_.ctrl_bytes;
-            cts.remote_arrival = [&self, st] { self.on_cts(st); };
-            cts.on_failed = [&self, st, dnode] {
-              self.fail_rendezvous(st, dnode);
-            };
-            self.fabric_->post(std::move(cts));
-          }(*this, rp, cost, st, dnode),
-          /*daemon=*/true);
+  return cost;
 }
 
-void RdvChannel::on_cts(std::shared_ptr<RdvState> st) {
-  auto& sp = mpi_->proc(st->send.env.src);
-  host_gate(sp)([this, st, &sp] {
-    sp.cpu().accrue_overhead(cfg_.o_ctrl);
+sim::Task<void> RdvChannel::claim_rts(Rdv* r, PostedRecv pr) {
+  r->recv = pr;
+  r->recv_matched = true;
+  co_await mpi_->proc(r->send.env.dst).cpu().busy(cts_cost(r));
+  post_cts(r);
+}
+
+sim::Task<void> RdvChannel::send_cts_after(Proc& rp, sim::Time cost, Rdv* r) {
+  co_await rp.host_work().occupy(cost);
+  post_cts(r);
+}
+
+void RdvChannel::post_cts(Rdv* r) {
+  const int dnode = mpi_->node_of(r->send.env.dst);
+  model::NetMsg cts;
+  cts.src = dnode;
+  cts.dst = mpi_->node_of(r->send.env.src);
+  cts.bytes = cfg_.ctrl_bytes;
+  cts.remote_arrival = [this, r] { on_cts(r); };
+  cts.on_failed = [this, r] {
+    fail_rendezvous(r, mpi_->node_of(r->send.env.dst));
+  };
+  fabric_->post(std::move(cts));
+}
+
+void RdvChannel::on_cts(Rdv* r) {
+  auto& sp = mpi_->proc(r->send.env.src);
+  gate(sp, [this, r] {
+    auto& sp2 = mpi_->proc(r->send.env.src);
+    sp2.cpu().accrue_overhead(cfg_.o_ctrl);
     // CTS processing occupies the sender host before the data goes out;
     // with many rendezvous sends in flight these serialize — part of why
     // the paper's Fig. 2 bandwidth dips at the eager->rendezvous switch.
-    mpi_->engine_of(st->send.env.src)
-        .spawn(
-            [](RdvChannel& self, Proc& sp,
-               std::shared_ptr<RdvState> st) -> sim::Task<void> {
-              co_await sp.host_work().occupy(self.cfg_.o_ctrl);
-              self.post_rendezvous_data(st);
-            }(*this, sp, st),
-            /*daemon=*/true);
+    mpi_->engine_of(r->send.env.src)
+        .spawn(send_data_after(sp2, r), /*daemon=*/true);
   });
 }
 
-void RdvChannel::post_rendezvous_data(std::shared_ptr<RdvState> st) {
-  const Envelope env = st->send.env;
+sim::Task<void> RdvChannel::send_data_after(Proc& sp, Rdv* r) {
+  co_await sp.host_work().occupy(cfg_.o_ctrl);
+  post_rendezvous_data(r);
+}
+
+void RdvChannel::post_rendezvous_data(Rdv* r) {
+  const Envelope& env = r->send.env;
+  // The data leg's remote half runs on the receiver, concurrently with
+  // the sender's completion under partitioned execution: its own
+  // reference.
+  r->refs.fetch_add(1, std::memory_order_relaxed);
 
   model::NetMsg data;
   data.src = mpi_->node_of(env.src);
   data.dst = mpi_->node_of(env.dst);
   data.bytes = cfg_.ctrl_bytes + env.bytes;
-  data.src_addr = st->send.buf.addr();
-  data.dst_addr = st->recv.buf.addr();
+  data.src_addr = r->send.buf.addr();
+  data.dst_addr = r->recv.buf.addr();
   data.complete_on_delivery = true;  // RDMA/directed-send ack semantics
-  data.local_complete = [this, st, env] {
-    // The RDMA write has completed at the sender: the send request is
-    // done, and a FIN control message tells the receiver the data is in
-    // place (RDMA writes deliver no receiver-side completion by
-    // themselves). The FIN trails the data on the same FIFO path.
-    st->send.req->complete(status_of(env));
-    model::NetMsg fin;
-    fin.src = mpi_->node_of(env.src);
-    fin.dst = mpi_->node_of(env.dst);
-    fin.bytes = cfg_.ctrl_bytes;
-    fin.remote_arrival = [this, st, env] {
-      auto& rp = mpi_->proc(env.dst);
-      rp.cpu().accrue_overhead(cfg_.o_recv);
-      mpi_->engine_of(env.dst).spawn(
-          [](RdvChannel& self, Proc& rp,
-             std::shared_ptr<RdvState> st, Envelope env) -> sim::Task<void> {
-            co_await rp.host_work().occupy(self.cfg_.o_recv);
-            st->recv.req->complete(status_of(env));
-          }(*this, rp, st, env),
-          /*daemon=*/true);
-    };
-    fin.on_failed = [this, st, env] {
-      fail_rendezvous(st, mpi_->node_of(env.src));
-    };
-    fabric_->post(std::move(fin));
-  };
-  data.remote_arrival = [st, env] {
+  data.local_complete = [this, r] { on_data_sent(r); };
+  data.remote_arrival = [r] {
     // Zero-copy delivery: payload lands directly in the receive buffer
     // (the sender has not resumed yet, so its view is intact).
-    copy_payload(st->send.buf, st->recv.buf,
-                 std::min<std::uint64_t>(env.bytes, st->recv.buf.bytes()));
+    copy_payload(r->send.buf, r->recv.buf,
+                 std::min<std::uint64_t>(r->send.env.bytes,
+                                         r->recv.buf.bytes()));
+    release(r);
   };
-  data.on_failed = [this, st, env] {
-    fail_rendezvous(st, mpi_->node_of(env.src));
+  data.on_failed = [this, r] {
+    release(r);  // the data never lands
+    fail_rendezvous(r, mpi_->node_of(r->send.env.src));
   };
   fabric_->post(std::move(data));
+}
+
+void RdvChannel::on_data_sent(Rdv* r) {
+  // The RDMA write has completed at the sender: the send request is
+  // done, and a FIN control message tells the receiver the data is in
+  // place (RDMA writes deliver no receiver-side completion by
+  // themselves). The FIN trails the data on the same FIFO path.
+  r->send_done = true;
+  r->send.req->complete(status_of(r->send.env));
+  model::NetMsg fin;
+  fin.src = mpi_->node_of(r->send.env.src);
+  fin.dst = mpi_->node_of(r->send.env.dst);
+  fin.bytes = cfg_.ctrl_bytes;
+  fin.remote_arrival = [this, r] { on_fin(r); };
+  fin.on_failed = [this, r] {
+    fail_rendezvous(r, mpi_->node_of(r->send.env.src));
+  };
+  fabric_->post(std::move(fin));
+}
+
+void RdvChannel::on_fin(Rdv* r) {
+  auto& rp = mpi_->proc(r->send.env.dst);
+  rp.cpu().accrue_overhead(cfg_.o_recv);
+  mpi_->engine_of(r->send.env.dst)
+      .spawn(complete_fin(rp, r), /*daemon=*/true);
+}
+
+sim::Task<void> RdvChannel::complete_fin(Proc& rp, Rdv* r) {
+  co_await rp.host_work().occupy(cfg_.o_recv);
+  r->recv_done = true;
+  r->recv.req->complete(status_of(r->send.env));
+  release(r);
 }
 
 }  // namespace mns::mpi

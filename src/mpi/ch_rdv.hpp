@@ -31,6 +31,7 @@
 #include "model/regcache.hpp"
 #include "mpi/device.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/records.hpp"
 #include "shm/shm_domain.hpp"
 
 namespace mns::mpi {
@@ -78,24 +79,63 @@ class RdvChannel final : public Device {
   const RdvChannelConfig& config() const { return cfg_; }
 
  private:
-  struct RdvState {
+  /// A buffered (eager or shared-memory) message: the sender's request
+  /// and what the receiver needs once the data lands. References: the
+  /// receiver side (arrival through delivery or error) and, for eager
+  /// sends, the sender side (local completion or failure).
+  struct Buffered : PooledRecord<Buffered> {
+    Envelope env;
+    RequestState* req = nullptr;
+    bool local_done = false;
+    sim::Time cost;  // receiver host cost, fixed when the data arrives
+    std::vector<std::byte> payload;  // real payloads only; capacity kept
+  };
+
+  /// A rendezvous handshake, touched by both sides in turn (RTS at the
+  /// receiver, CTS at the sender, data and FIN at both). One reference
+  /// follows the handshake; the data leg and the two failure routes
+  /// hold extra ones while they run concurrently with it.
+  struct Rdv : PooledRecord<Rdv> {
     SendOp send;
     PostedRecv recv;
-    bool recv_matched = false;
+    bool recv_matched = false;  // receiver side
+    bool recv_done = false;     // receiver side
+    bool send_done = false;     // sender side
   };
 
   sim::Task<void> send_shm(SendOp op);
   sim::Task<void> send_eager(SendOp op);
   sim::Task<void> send_rendezvous(SendOp op);
 
+  /// A buffered message carrying `op`'s envelope, request and payload.
+  Buffered* new_buffered(const SendOp& op, std::uint32_t refs);
+
+  // Sender-side completion of an eager send (event context).
+  void complete_eager(Buffered* b);
+  void fail_eager(Buffered* b);
+
   // Receiver-side handlers (event context, host-gated).
-  void on_eager_arrival(Envelope env,
-                        std::shared_ptr<std::vector<std::byte>> payload);
-  void on_shm_arrival(Envelope env,
-                      std::shared_ptr<std::vector<std::byte>> payload);
-  void on_rts(std::shared_ptr<RdvState> st);
-  void on_cts(std::shared_ptr<RdvState> st);
-  void post_rendezvous_data(std::shared_ptr<RdvState> st);
+  void on_eager_arrival(Buffered* b);
+  void on_shm_arrival(Buffered* b);
+  void match_buffered(Buffered* b);
+  void on_rts(Rdv* r);
+  void match_rts(Rdv* r);
+  void on_cts(Rdv* r);
+  void post_rendezvous_data(Rdv* r);
+  void on_data_sent(Rdv* r);
+  void on_fin(Rdv* r);
+
+  // Host-work continuations, spawned or claimed on the receiving rank.
+  sim::Task<void> deliver_buffered(Proc& rp, Buffered* b, PostedRecv pr);
+  sim::Task<void> claim_buffered(Buffered* b, PostedRecv pr);
+  sim::Task<void> claim_error(Buffered* b, PostedRecv pr);
+  sim::Task<void> claim_rts(Rdv* r, PostedRecv pr);
+  sim::Task<void> send_cts_after(Proc& rp, sim::Time cost, Rdv* r);
+  sim::Task<void> send_data_after(Proc& sp, Rdv* r);
+  sim::Task<void> complete_fin(Proc& rp, Rdv* r);
+  void post_cts(Rdv* r);
+  /// Receive-buffer pinning cost before the CTS can advertise it.
+  sim::Time cts_cost(Rdv* r);
 
   // Graceful degradation under fabric faults (ISSUE: chaos harness).
   /// Route a transport-failure "error envelope" through the receiver's
@@ -103,21 +143,13 @@ class RdvChannel final : public Device {
   /// Status instead of hanging.
   void fail_recv_side(const Envelope& env, int from_node);
   /// A rendezvous leg (RTS/CTS/data/FIN) exhausted the fabric's retry
-  /// budget: complete both sides with an error Status.
-  void fail_rendezvous(std::shared_ptr<RdvState> st, int from_node);
+  /// budget: complete both sides with an error Status. Consumes the
+  /// handshake's reference.
+  void fail_rendezvous(Rdv* r, int from_node);
 
-  /// Receiver matched (event context): deliver buffered payload after the
-  /// receive-side cost and complete the request.
-  void deliver_buffered(const Envelope& env,
-                        std::shared_ptr<std::vector<std::byte>> payload,
-                        PostedRecv pr, sim::Time extra_cost);
-  /// Send the CTS for a matched rendezvous (event context at receiver).
-  void issue_cts(std::shared_ptr<RdvState> st);
-
-  std::shared_ptr<std::vector<std::byte>> capture(const View& v) const;
   sim::Time match_scan_cost(Proc& rp) const;
-  /// Runs protocol actions directly (nic_progress) or host-gated.
-  std::function<void(std::function<void()>)> host_gate(Proc& proc) const;
+  /// Runs a protocol action directly (nic_progress) or host-gated.
+  void gate(Proc& proc, sim::EventFn fn) const;
 
   Mpi* mpi_;
   model::NetFabric* fabric_;
@@ -125,6 +157,8 @@ class RdvChannel final : public Device {
   std::function<model::RegistrationCache&(int)> regcache_;
   std::function<std::uint64_t(int)> memory_;
   std::vector<std::unique_ptr<shm::ShmDomain>> shm_;  // per node
+  Records<Buffered> buffered_;
+  Records<Rdv> rdv_;
 };
 
 }  // namespace mns::mpi

@@ -87,15 +87,16 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
   sim::MpiScope scope(p.cpu());
   p.drain_deferred();
 
-  auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
-                                            &mpi_->request_ledger());
+  // The handle exists before the device sees the request: a device may
+  // complete it before start_send returns.
+  Request req(p.requests().make(&mpi_->request_ledger()));
   SendOp op;
   op.env = Envelope{rank_, dst, tag, buf.bytes()};
   op.buf = buf;
   op.nonblocking = nonblocking;
-  op.req = req;
+  op.req = req.state();
   co_await mpi_->device().start_send(std::move(op));
-  co_return Request(req);
+  co_return req;
 }
 
 sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
@@ -108,15 +109,14 @@ sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
   const sim::Time post_cost = mpi_->device().recv_post_cost();
   if (post_cost > sim::Time::zero()) co_await p.cpu().busy(post_cost);
 
-  auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
-                                            &mpi_->request_ledger());
-  PostedRecv pr{src, tag, buf, req};
+  Request req(p.requests().make(&mpi_->request_ledger()));
+  PostedRecv pr{src, tag, buf, req.state()};
   if (auto u = p.matcher().match_posted(src, tag)) {
     co_await u->claim(std::move(pr));
   } else {
     p.matcher().post(std::move(pr));
   }
-  co_return Request(req);
+  co_return req;
 }
 
 sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
@@ -225,15 +225,13 @@ sim::Task<void> Comm::ssend(View buf, Rank dst, Tag tag) {
   {
     sim::MpiScope scope(p.cpu());
     p.drain_deferred();
-    auto req = std::make_shared<RequestState>(mpi_->engine_of(rank_),
-                                            &mpi_->request_ledger());
+    ret = Request(p.requests().make(&mpi_->request_ledger()));
     SendOp op;
     op.env = Envelope{rank_, dst, tag, buf.bytes()};
     op.buf = buf;
     op.synchronous = true;
-    op.req = req;
+    op.req = ret.state();
     co_await mpi_->device().start_send(std::move(op));
-    ret = Request(req);
   }
   co_await wait(std::move(ret));
 }

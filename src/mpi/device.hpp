@@ -22,7 +22,8 @@ struct SendOp {
   bool nonblocking = false;
   /// MPI_Ssend semantics: complete only after the receiver matched.
   bool synchronous = false;
-  std::shared_ptr<RequestState> req;
+  /// Completed exactly once by the device (see RequestState).
+  RequestState* req = nullptr;
 };
 
 class Device {

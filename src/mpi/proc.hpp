@@ -9,20 +9,20 @@
 // completion), and defers it to the next MPI entry otherwise.
 #pragma once
 
-#include <deque>
-#include <functional>
-
 #include "model/pipe.hpp"
 #include "mpi/matcher.hpp"
+#include "mpi/request.hpp"
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
+#include "util/annotations.hpp"
 
 namespace mns::mpi {
 
 class Proc {
  public:
   Proc(sim::Engine& eng, Rank rank, int node, int slot)
-      : eng_(&eng), cpu_(eng), host_work_(eng, 1e12), rank_(rank),
-        node_(node), slot_(slot) {}
+      : eng_(&eng), cpu_(eng), host_work_(eng, 1e12), requests_(eng),
+        rank_(rank), node_(node), slot_(slot) {}
 
   /// The engine this rank's node lives on (its partition's engine under
   /// PDES execution; the cluster engine otherwise). Event-context work
@@ -34,15 +34,17 @@ class Proc {
   /// makes incast patterns (alltoall fan-in) expensive.
   model::Pipe& host_work() { return host_work_; }
   Matcher& matcher() { return matcher_; }
+  /// This rank's request states (touched only on the rank's partition).
+  RequestPool& requests() { return requests_; }
   Rank rank() const { return rank_; }
   int node() const { return node_; }
   int slot() const { return slot_; }  // position within the node (SMP)
 
   /// Run `fn` now if the host is attentive (inside MPI), else defer it to
-  /// the next MPI entry.
-  void host_action(std::function<void()> fn) {
+  /// the next MPI entry. MNS_HOT: the deferred FIFO keeps its capacity.
+  MNS_HOT void host_action(sim::EventFn fn) {
     if (cpu_.in_mpi()) {
-      fn();
+      fn.invoke();
     } else {
       deferred_.push_back(std::move(fn));
       ++deferred_total_;
@@ -52,11 +54,7 @@ class Proc {
   /// Called on every MPI entry: run everything that piled up while the
   /// application was computing.
   void drain_deferred() {
-    while (!deferred_.empty()) {
-      auto fn = std::move(deferred_.front());
-      deferred_.pop_front();
-      fn();
-    }
+    while (!deferred_.empty()) deferred_.pop_front().invoke();
   }
 
   std::uint64_t deferred_total() const { return deferred_total_; }
@@ -67,10 +65,11 @@ class Proc {
   sim::Cpu cpu_;
   model::Pipe host_work_;
   Matcher matcher_;
+  RequestPool requests_;
   Rank rank_;
   int node_;
   int slot_;
-  std::deque<std::function<void()>> deferred_;
+  sim::Fifo<sim::EventFn> deferred_;
   std::uint64_t deferred_total_ = 0;
 };
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "model/memcpy_model.hpp"
 #include "sim/engine.hpp"
@@ -31,7 +30,7 @@ struct ShmMsg {
   int src_rank = 0;
   int dst_rank = 0;
   std::uint64_t bytes = 0;
-  std::function<void()> remote_arrival;  // data visible to the receiver
+  sim::EventFn remote_arrival;  // data visible to the receiver
 };
 
 /// One per node. `send_copy` is awaited by the *sender* (its CPU does the

@@ -7,13 +7,6 @@
 
 namespace mns::sim {
 
-namespace {
-// 4-ary heap: children of i are [4i+1, 4i+4], parent is (i-1)/4. Shallower
-// than a binary heap (log4 vs log2 levels) and the four children of one
-// parent sit in adjacent memory, so a sift touches fewer cache lines.
-constexpr std::size_t kHeapArity = 4;
-}  // namespace
-
 // Root coroutine wrapper: owns the process Task, reports completion and
 // errors to the engine. On completion the engine destroys the frame from
 // the final-suspend point, so finished processes cost nothing.
@@ -63,12 +56,7 @@ void Engine::drop_processes() {
   }
   // Pending event payloads capture handles into the frames just
   // destroyed; drop them unrun (~EventFn reclaims boxed closures).
-#if defined(MNS_EVENT_QUEUE_LADDER)
-  ladder_.clear();
-#else
-  heap_keys_.clear();
-  heap_slots_.clear();
-#endif
+  queue_.clear();
   slab_.clear();
   slab_free_.clear();
   slab_seq_.clear();
@@ -82,15 +70,14 @@ void Engine::schedule_future(std::int64_t at_ps, EventFn fn) {
   if (at_ps < now_.count_ps()) {
     throw std::logic_error("Engine::at: scheduling into the past");
   }
-  heap_push(Key::make(at_ps, next_seq_++), std::move(fn));
+  queue_push(Key::make(at_ps, next_seq_++), std::move(fn));
 }
 
-#if defined(MNS_EVENT_QUEUE_LADDER)
-
-// Ladder policy (-DMNS_EVENT_QUEUE=ladder): same slab parking and slot
-// recycling, different key ordering structure. Keys are unique, so the
-// pop sequence is identical to the heap's and results are bit-identical.
-MNS_HOT std::uint32_t Engine::heap_push(Key key, EventFn fn) {
+// MNS_HOT: the slab and the queue's node pool grow amortized and reuse
+// free slots; in steady state pushes recycle capacity without touching
+// the allocator.
+MNS_HOT std::uint32_t Engine::queue_push(Key key, EventFn fn) {
+  // Park the payload in the slab; only (key, slot) enter the queue.
   std::uint32_t slot;
   if (!slab_free_.empty()) {
     slot = slab_free_.back();
@@ -102,110 +89,22 @@ MNS_HOT std::uint32_t Engine::heap_push(Key key, EventFn fn) {
     slab_.push_back(std::move(fn));
     slab_seq_.push_back(key.seq());
   }
-  ladder_.push(key, slot);
+  queue_.push(key, slot);
   return slot;
 }
 
-MNS_HOT EventFn Engine::heap_pop(Key& key) {
-  const auto e = ladder_.pop();
+// MNS_HOT: the free-list push_back recycles slab capacity (amortized).
+MNS_HOT EventFn Engine::queue_pop(Key& key) {
+  // Fetch the *next* pop's payload a whole event ahead of its use.
+  if (const auto* next = queue_.peek_second()) {
+    __builtin_prefetch(&slab_[next->slot]);
+  }
+  const auto e = queue_.pop();
   key = e.key;
   EventFn top = std::move(slab_[e.slot]);
   slab_free_.push_back(e.slot);
   return top;
 }
-
-#else  // 4-ary heap (default)
-
-// MNS_HOT: slab and heap arrays grow amortized and reuse free slots; in
-// steady state pushes recycle capacity without touching the allocator.
-MNS_HOT std::uint32_t Engine::heap_push(Key key, EventFn fn) {
-  // Park the payload in the slab; only (key, slot) enter the sift.
-  std::uint32_t slot;
-  if (!slab_free_.empty()) {
-    slot = slab_free_.back();
-    slab_free_.pop_back();
-    slab_[slot] = std::move(fn);
-    slab_seq_[slot] = key.seq();
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-    slab_seq_.push_back(key.seq());
-  }
-  std::size_t i = heap_keys_.size();
-  heap_keys_.push_back(key);
-  heap_slots_.push_back(slot);
-  // Hole sift-up: move parents down into the hole instead of swapping.
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!key.before(heap_keys_[parent])) break;
-    heap_keys_[i] = heap_keys_[parent];
-    heap_slots_[i] = heap_slots_[parent];
-    i = parent;
-  }
-  heap_keys_[i] = key;
-  heap_slots_[i] = slot;
-  return slot;
-}
-
-// MNS_HOT: the free-list push_back recycles slab capacity (amortized).
-MNS_HOT EventFn Engine::heap_pop(Key& key) {
-  key = heap_keys_.front();
-  const std::uint32_t top_slot = heap_slots_.front();
-  const Key last_key = heap_keys_.back();
-  const std::uint32_t last_slot = heap_slots_.back();
-  heap_keys_.pop_back();
-  heap_slots_.pop_back();
-  const std::size_t n = heap_keys_.size();
-  if (n > 0) {
-    // Bottom-up sift-down: walk the hole along the min-child path to a
-    // leaf without comparing against last_key (the displaced element
-    // almost always belongs near the bottom), then bubble it back up the
-    // few levels it doesn't. Only dense key/slot arrays are touched.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = i * kHeapArity + 1;
-      if (first >= n) break;
-      const std::size_t end = std::min(first + kHeapArity, n);
-      // The grandchildren of i form one contiguous range
-      // [4*first+1, 4*first+16]; prefetching its keys (4 lines) and
-      // slots (1 line) overlaps the next level's cache misses with this
-      // level's compares, breaking the serial miss chain that otherwise
-      // dominates deep pops.
-      const std::size_t gfirst = first * kHeapArity + 1;
-      if (gfirst < n) {
-        const char* g = reinterpret_cast<const char*>(&heap_keys_[gfirst]);
-        __builtin_prefetch(g);
-        __builtin_prefetch(g + 64);
-        __builtin_prefetch(g + 128);
-        __builtin_prefetch(g + 192);
-        __builtin_prefetch(&heap_slots_[gfirst]);
-      }
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (heap_keys_[c].before(heap_keys_[best])) best = c;
-      }
-      heap_keys_[i] = heap_keys_[best];
-      heap_slots_[i] = heap_slots_[best];
-      i = best;
-    }
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kHeapArity;
-      if (!last_key.before(heap_keys_[parent])) break;
-      heap_keys_[i] = heap_keys_[parent];
-      heap_slots_[i] = heap_slots_[parent];
-      i = parent;
-    }
-    heap_keys_[i] = last_key;
-    heap_slots_[i] = last_slot;
-    // Fetch the *next* pop's payload a whole event ahead of its use.
-    __builtin_prefetch(&slab_[heap_slots_.front()]);
-  }
-  EventFn top = std::move(slab_[top_slot]);
-  slab_free_.push_back(top_slot);
-  return top;
-}
-
-#endif  // MNS_EVENT_QUEUE_LADDER
 
 // MNS_HOT: roots_ grows amortized; slots are compacted on completion and
 // capacity persists for the lifetime of the engine.
@@ -224,24 +123,24 @@ MNS_HOT void Engine::spawn(Task<> t, bool daemon) {
 bool Engine::step() {
  again:
   const bool have_now = nowq_head_ < nowq_.size();
-  if (!have_now && queue_empty()) return false;
+  if (!have_now && queue_.empty()) return false;
   if (events_processed_ >= event_limit_) throw EventLimitError(event_limit_);
   std::int64_t at_ps;
   std::uint64_t seq;
   EventFn fn;
   // The now-queue holds events at exactly now() in seq (FIFO) order; a
-  // heap event competes only when it carries the same timestamp with a
+  // queued event competes only when it carries the same timestamp with a
   // smaller seq (scheduled for this instant before the clock reached it).
-  bool take_heap = !have_now;
-  if (have_now && !queue_empty()) {
-    const Key top = queue_top_key();
+  bool take_queue = !have_now;
+  if (have_now && !queue_.empty()) {
+    const Key top = queue_.top().key;
     if (top.at_ps() == now_.count_ps() && top.seq() < nowq_[nowq_head_].seq) {
-      take_heap = true;
+      take_queue = true;
     }
   }
-  if (take_heap) {
+  if (take_queue) {
     Key key{};
-    fn = heap_pop(key);
+    fn = queue_pop(key);
     if (!fn) {
       // Cancelled tombstone: discard without advancing the clock, counting
       // an event, or consulting the event limit budget beyond this check.
@@ -323,12 +222,13 @@ bool Engine::run_until(Time deadline) {
 std::int64_t Engine::next_event_at_ps() {
   if (nowq_head_ < nowq_.size()) return now_.count_ps();
   for (;;) {
-    if (queue_empty()) return INT64_MAX;
-    if (slab_[queue_top_slot()]) return queue_top_key().at_ps();
+    if (queue_.empty()) return INT64_MAX;
+    const auto& top = queue_.top();
+    if (slab_[top.slot]) return top.key.at_ps();
     // Cancelled tombstone on top: discard it so the reported time names
     // an event that will actually run (same bookkeeping as step()).
     Key key{};
-    (void)heap_pop(key);
+    (void)queue_pop(key);
     MNS_AUDIT(tombstones_ > 0, "tombstone popped with zero outstanding");
     --tombstones_;
   }

@@ -11,11 +11,12 @@
 //     fast path with no type erasure and no allocation; captureless and
 //     small trivially-copyable callables are stored inline; only genuinely
 //     capturing callbacks fall back to one boxed heap closure.
-//   - Future events live in a 4-ary min-heap split structure-of-arrays
-//     style: the sift loops move only 16-byte packed (at, seq) keys and
-//     4-byte slab slots, while the 24-byte payloads sit still in a
-//     recycled slab. Events scheduled at exactly now() skip the heap via
-//     a FIFO now-queue.
+//   - Future events live in a ladder queue (sim/ladder_queue.hpp): an
+//     unsorted top, bucketed rungs and a short sorted bottom, so a push
+//     is O(1) into a bucket and moves a bounded number of entries. The
+//     queue orders 16-byte packed (at, seq) keys and 4-byte slab slots;
+//     the 24-byte payloads sit still in a recycled slab. Events
+//     scheduled at exactly now() skip the queue via a FIFO now-queue.
 #pragma once
 
 #include <coroutine>
@@ -31,13 +32,10 @@
 #include <vector>
 
 #include "audit/audit.hpp"
+#include "sim/ladder_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
-
-#if defined(MNS_EVENT_QUEUE_LADDER)
-#include "sim/ladder_queue.hpp"
-#endif
 
 namespace mns::audit {
 class AuditReport;
@@ -128,6 +126,13 @@ class EventFn {
     }
   }
 
+  /// Implicit wrap of a callable, with make()'s storage rules: callbacks
+  /// that capture at most two trivially copyable words stay inline.
+  template <class F>
+    requires(!std::is_same_v<std::decay_t<F>, EventFn> &&
+             std::is_invocable_v<std::decay_t<F>&>)
+  EventFn(F&& f) : EventFn(make(std::forward<F>(f))) {}
+
   EventFn(EventFn&& o) noexcept
       : fn_(std::exchange(o.fn_, nullptr)),
         a_(std::exchange(o.a_, nullptr)),
@@ -202,8 +207,8 @@ class EventFn {
 /// ordering test is a single unsigned compare (cmp/sbb, no second branch)
 /// in the queue's compare loops. at_ps is sign-flipped into the high half
 /// so the unsigned order matches the signed (at, seq) lexicographic
-/// order. Public so alternative queue policies (sim/ladder_queue.hpp) can
-/// order the same keys; payloads stay in the engine's slab either way.
+/// order. Public so the queue (sim/ladder_queue.hpp) and its tests can
+/// order the same keys; payloads stay in the engine's slab.
 struct EventKey {
   unsigned __int128 packed;
   static EventKey make(std::int64_t at_ps, std::uint64_t seq) noexcept {
@@ -246,7 +251,7 @@ class Engine {
   /// Schedule a payload at absolute time `at` (must be >= now()).
   /// Events at exactly now() — every synchronization wake-up, process
   /// start, and hand-off in the simulator — take the O(1) now-queue fast
-  /// path; only genuinely future events pay the heap sift.
+  /// path; only genuinely future events enter the ladder queue.
   /// MNS_HOT: the now-queue push_back is amortized — its capacity is
   /// retained across clear() and reaches steady state after warm-up.
   MNS_HOT void at(Time when, EventFn fn) {
@@ -274,7 +279,7 @@ class Engine {
   /// Schedule a payload that may later be revoked with cancel() — the
   /// shape of a retransmit/timeout timer, which is armed pessimistically
   /// and cancelled on the (common) success path. Cancellable events always
-  /// take the heap path, even at exactly now(), so the returned EventId
+  /// take the queue path, even at exactly now(), so the returned EventId
   /// names a stable slab slot.
   EventId at_cancellable(Time when, EventFn fn) {
     const std::int64_t at_ps = when.count_ps();
@@ -282,7 +287,7 @@ class Engine {
       throw std::logic_error("Engine::at_cancellable: scheduling into the past");
     }
     const std::uint64_t seq = next_seq_++;
-    const std::uint32_t slot = heap_push(Key::make(at_ps, seq), std::move(fn));
+    const std::uint32_t slot = queue_push(Key::make(at_ps, seq), std::move(fn));
     return EventId{slot, seq};
   }
   template <class F>
@@ -296,7 +301,7 @@ class Engine {
   /// event was still pending (it will never run); false if it already ran,
   /// was already cancelled, or the id is stale. The payload is destroyed
   /// immediately (a boxed closure is freed here, not at pop time); the
-  /// heap entry remains as a tombstone that step() discards without
+  /// queue entry remains as a tombstone that step() discards without
   /// advancing the clock or counting against the event limit.
   bool cancel(EventId id) {
     if (!id.valid() || id.slot >= slab_.size()) return false;
@@ -315,15 +320,10 @@ class Engine {
     at(when, EventFn::resume(h));
   }
 
-  /// Pre-size the event heap for at least `n` concurrently pending events
+  /// Pre-size the event queue for at least `n` concurrently pending events
   /// (Cluster sizes this from the topology: ranks, NICs, channel depth).
   void reserve_events(std::size_t n) {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    ladder_.reserve(n);
-#else
-    heap_keys_.reserve(n);
-    heap_slots_.reserve(n);
-#endif
+    queue_.reserve(n);
     slab_.reserve(n);
   }
 
@@ -360,10 +360,10 @@ class Engine {
   std::size_t live_processes() const { return live_; }
   std::uint64_t events_processed() const { return events_processed_; }
   std::uint64_t events_cancelled() const { return events_cancelled_; }
-  /// Pending *live* events: cancelled tombstones still parked in the heap
-  /// are excluded (they will be discarded, never run).
+  /// Pending *live* events: cancelled tombstones still parked in the
+  /// queue are excluded (they will be discarded, never run).
   std::size_t pending_events() const {
-    return queue_size() - tombstones_ + (nowq_.size() - nowq_head_);
+    return queue_.size() - tombstones_ + (nowq_.size() - nowq_head_);
   }
 
   /// Earliest pending live event time in picoseconds, or INT64_MAX when
@@ -417,77 +417,30 @@ class Engine {
  private:
   using Key = EventKey;
   // Now-queue entry: the timestamp is implicitly now(), only the seq
-  // tie-break is needed to interleave with equal-time heap events.
+  // tie-break is needed to interleave with equal-time queued events.
   struct NowEvent {
     std::uint64_t seq;
     EventFn fn;
   };
 
   void schedule_future(std::int64_t at_ps, EventFn fn);
-  std::uint32_t heap_push(Key key, EventFn fn);
-  EventFn heap_pop(Key& key);
-
-  // Queue-policy seam: both policies order the same unique keys, so the
-  // pop sequence — and every simulated result — is policy-invariant.
-  bool queue_empty() const noexcept {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.empty();
-#else
-    return heap_keys_.empty();
-#endif
-  }
-  std::size_t queue_size() const noexcept {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.size();
-#else
-    return heap_keys_.size();
-#endif
-  }
-  // Precondition: !queue_empty().
-  Key queue_top_key() {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.top().key;
-#else
-    return heap_keys_.front();
-#endif
-  }
-  // Precondition: !queue_empty().
-  std::uint32_t queue_top_slot() {
-#if defined(MNS_EVENT_QUEUE_LADDER)
-    return ladder_.top().slot;
-#else
-    return heap_slots_.front();
-#endif
-  }
+  std::uint32_t queue_push(Key key, EventFn fn);
+  EventFn queue_pop(Key& key);
 
   bool step();  // pop and run one event; false if queue empty
   void retire(std::coroutine_handle<> h);  // process done: reclaim its frame
   void process_failed(std::exception_ptr e);
 
-#if defined(MNS_EVENT_QUEUE_LADDER)
-  // Alternative future-event queue policy (-DMNS_EVENT_QUEUE=ladder): a
-  // two-rung ladder ordering the same unique (at, seq) keys, so the pop
-  // sequence — and therefore every simulated result — is bit-identical
-  // to the heap. Payloads stay in the slab below in both policies.
-  LadderQueue<Key> ladder_;
-#else
-  // The future-event 4-ary min-heap, split structure-of-arrays style: the
-  // sift loops compare only keys, so the traversal walks a dense 16-byte
-  // array (100k pending events = 1.6 MB of keys) instead of dragging the
-  // payload words through the cache on every probe.
-  // Structure-of-arrays heap: sift loops move only 16-byte keys and
-  // 4-byte slab slots; the 24-byte payloads never move. slab_free_
-  // recycles slots LIFO, so a push usually lands its payload on a
-  // cache-warm slab entry.
-  std::vector<Key> heap_keys_;
-  std::vector<std::uint32_t> heap_slots_;
-#endif
+  // Future events: (key, slab slot) pairs in a ladder queue. The 24-byte
+  // payloads never move; slab_free_ recycles slots LIFO, so a push
+  // usually lands its payload on a cache-warm slab entry.
+  LadderQueue<Key> queue_;
   std::vector<EventFn> slab_;
   std::vector<std::uint32_t> slab_free_;
   // Per-slot seq stamp of the event currently parked there; lets cancel()
   // verify an EventId still names the same scheduling (ABA guard).
   std::vector<std::uint64_t> slab_seq_;
-  // Cancelled events still occupying heap entries. step() skips them for
+  // Cancelled events still occupying queue entries. step() skips them for
   // free; pending_events() subtracts them.
   std::size_t tombstones_ = 0;
   std::uint64_t events_cancelled_ = 0;

@@ -57,11 +57,11 @@ TEST(Matcher, PostedFifoPerMatch) {
   Matcher m;
   auto req1 = std::make_shared<RequestState>(eng);
   auto req2 = std::make_shared<RequestState>(eng);
-  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(1, 8), req1});
-  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(2, 8), req2});
+  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(1, 8), req1.get()});
+  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(2, 8), req2.get()});
   const auto hit = m.match_arrival(Envelope{0, 0, 5, 8});
   ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->req.get(), req1.get());  // earliest posted wins
+  EXPECT_EQ(hit->req, req1.get());  // earliest posted wins
   EXPECT_EQ(m.posted_count(), 1u);
 }
 
@@ -70,11 +70,11 @@ TEST(Matcher, TagSelectivity) {
   Matcher m;
   auto req1 = std::make_shared<RequestState>(eng);
   auto req2 = std::make_shared<RequestState>(eng);
-  m.post(PostedRecv{0, 7, View::synth(1, 8), req1});
-  m.post(PostedRecv{0, 9, View::synth(2, 8), req2});
+  m.post(PostedRecv{0, 7, View::synth(1, 8), req1.get()});
+  m.post(PostedRecv{0, 9, View::synth(2, 8), req2.get()});
   const auto hit = m.match_arrival(Envelope{0, 0, 9, 8});
   ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->req.get(), req2.get());
+  EXPECT_EQ(hit->req, req2.get());
   EXPECT_FALSE(m.match_arrival(Envelope{1, 0, 7, 8}));  // wrong source
 }
 
@@ -87,24 +87,24 @@ TEST(Matcher, WildcardAndDirectedInterleaveByPostOrder) {
   auto r2 = std::make_shared<RequestState>(eng);
   auto r3 = std::make_shared<RequestState>(eng);
   auto r4 = std::make_shared<RequestState>(eng);
-  m.post(PostedRecv{1, 5, View::synth(1, 8), r1});          // exact
-  m.post(PostedRecv{kAnySource, 5, View::synth(2, 8), r2});  // wildcard
-  m.post(PostedRecv{1, 5, View::synth(3, 8), r3});          // exact
-  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(4, 8), r4});
+  m.post(PostedRecv{1, 5, View::synth(1, 8), r1.get()});          // exact
+  m.post(PostedRecv{kAnySource, 5, View::synth(2, 8), r2.get()});  // wildcard
+  m.post(PostedRecv{1, 5, View::synth(3, 8), r3.get()});          // exact
+  m.post(PostedRecv{kAnySource, kAnyTag, View::synth(4, 8), r4.get()});
   const Envelope env{1, 0, 5, 8};
   auto a = m.match_arrival(env);
   ASSERT_TRUE(a);
-  EXPECT_EQ(a->req.get(), r1.get());  // oldest overall, exact bucket
+  EXPECT_EQ(a->req, r1.get());  // oldest overall, exact bucket
   auto b = m.match_arrival(env);
   ASSERT_TRUE(b);
-  EXPECT_EQ(b->req.get(), r2.get());  // wildcard posted before r3
+  EXPECT_EQ(b->req, r2.get());  // wildcard posted before r3
   auto c = m.match_arrival(env);
   ASSERT_TRUE(c);
-  EXPECT_EQ(c->req.get(), r3.get());
+  EXPECT_EQ(c->req, r3.get());
   // Remaining any/any wildcard catches an unrelated envelope.
   auto d = m.match_arrival(Envelope{9, 0, 99, 8});
   ASSERT_TRUE(d);
-  EXPECT_EQ(d->req.get(), r4.get());
+  EXPECT_EQ(d->req, r4.get());
   EXPECT_EQ(m.posted_count(), 0u);
   EXPECT_FALSE(m.match_arrival(env));
 }
@@ -165,7 +165,7 @@ TEST(Request, NullRequestIsDone) {
 TEST(Request, CompletionWakesWaiter) {
   sim::Engine eng;
   auto st = std::make_shared<RequestState>(eng);
-  Request r(st);
+  Request r(st.get());
   EXPECT_FALSE(r.done());
   Status seen{};
   eng.spawn([](Request r, Status& out) -> sim::Task<void> {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -390,7 +391,7 @@ TEST(Cpu, NestedMpiScopes) {
 }
 
 // Property test for the event queue: under randomized schedules mixing
-// zero-delay events (now-queue) with future events (4-ary heap), pops
+// zero-delay events (now-queue) with future events (ladder queue), pops
 // must come out in strict (time, schedule-order) order. The schedule
 // counter here mirrors the engine's own seq assignment: one per at()
 // call, in call order.
@@ -403,7 +404,7 @@ TEST(Engine, PopOrderPropertyUnderRandomizedSchedules) {
     std::function<void(int)> plant = [&](int depth) {
       const std::uint64_t my = sched++;
       // 1-in-3 events land at exactly now() (the FIFO fast path); the
-      // rest spread over a window wide enough to force deep heap sifts.
+      // rest spread over a window wide enough to spawn ladder rungs.
       const std::int64_t delay_ps =
           rng() % 3 == 0 ? 0 : static_cast<std::int64_t>(rng() % 50'000);
       eng.after(Time::ps(delay_ps), [&, my, depth] {
@@ -498,8 +499,7 @@ TEST(Engine, RunUntilIgnoresCancelledHeadAtDeadline) {
 // ---------------------------------------------------------------------------
 // LadderQueue: property-checked against a sorted reference under
 // randomized interleavings of pushes and pops, including full drains
-// (stale-boundary paths) and same-time keys distinguished only by seq.
-// Compiled directly so the policy is covered even in heap-policy builds.
+// (the reset path) and same-time keys distinguished only by seq.
 
 TEST(LadderQueue, MatchesSortedReferenceUnderRandomizedTraffic) {
   std::mt19937_64 rng(0xBADCAFE);
@@ -557,6 +557,65 @@ TEST(LadderQueue, MatchesSortedReferenceUnderRandomizedTraffic) {
     }
     ASSERT_EQ(popped, ref_keys.size()) << "round " << round;
   }
+}
+
+// The fat-tree shape: tens of thousands of far-future events pending
+// while the traffic near the clock keeps pushing short delays behind
+// them, plus bursts sharing one picosecond. Pops must follow the exact
+// key order of an ordered reference set throughout.
+TEST(LadderQueue, DeepQueueWithShortDelaysBehindFarFutureMatchesReference) {
+  std::mt19937_64 rng(0xFA77EE);
+  LadderQueue<EventKey> lq;
+  std::set<std::pair<unsigned __int128, std::uint32_t>> ref;
+  std::uint64_t seq = 0;
+  std::int64_t clock = 0;
+  std::uint32_t next_slot = 0;
+  auto push = [&](std::int64_t at) {
+    const EventKey k = EventKey::make(at, seq++);
+    lq.push(k, next_slot);
+    ref.emplace(k.packed, next_slot++);
+  };
+  auto pop_check = [&] {
+    ASSERT_FALSE(ref.empty());
+    const auto e = lq.pop();
+    const auto want = *ref.begin();
+    ref.erase(ref.begin());
+    ASSERT_TRUE(e.key.packed == want.first && e.slot == want.second)
+        << "pop out of order at clock " << clock;
+    clock = e.key.at_ps();
+  };
+  // Far-future backlog: 40k timers seconds out, spread and clustered.
+  for (int i = 0; i < 40'000; ++i) {
+    const std::int64_t far = 1'000'000'000 + static_cast<std::int64_t>(
+                                                 rng() % 2'000'000'000);
+    push(i % 4 == 0 ? far - far % 1'000'000 : far);
+  }
+  std::size_t max_pending = 0;
+  for (int step = 0; step < 200'000; ++step) {
+    const std::uint64_t r = rng();
+    if (r % 64 == 0) {
+      // A burst of same-picosecond events just ahead of the clock.
+      const std::int64_t at = clock + 1 + static_cast<std::int64_t>(r % 97);
+      for (int i = 0; i < 80; ++i) push(at);
+    } else if (r % 16 == 0) {
+      push(clock + 500'000'000 + static_cast<std::int64_t>(r % 999'983));
+    } else {
+      push(clock + static_cast<std::int64_t>(r % 5'000));
+      if (r % 3 == 0) push(clock + static_cast<std::int64_t>((r >> 8) % 40));
+    }
+    max_pending = std::max(max_pending, ref.size());
+    const int pops = 1 + static_cast<int>((r >> 16) % 2);
+    for (int i = 0; i < pops && !ref.empty(); ++i) {
+      pop_check();
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(max_pending, 30'000u);
+  while (!ref.empty()) {
+    pop_check();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(lq.empty());
 }
 
 }  // namespace

@@ -692,6 +692,20 @@ class BodyAnalyzer:
                     parts.append(self.toks[j - 1].text)
                     j -= 2
                     continue
+                if self.toks[j - 1].text == "]":
+                    # x[...]->f(): an element of container x. Typed as
+                    # unknown for growth checks; the call graph resolves
+                    # the element class from x's declared type.
+                    k, depth = j - 1, 0
+                    while k > 0:
+                        t = self.toks[k].text
+                        depth += 1 if t == "]" else -1 if t == "[" else 0
+                        if depth == 0:
+                            break
+                        k -= 1
+                    if k > 0 and self.toks[k - 1].kind == "id":
+                        parts.append(self.toks[k - 1].text + "[]")
+                        break
                 if self.toks[j - 1].text in (")", "]"):
                     parts.append("()")
                     break

@@ -33,6 +33,17 @@ DEFAULT_HOT_ROOTS = [
     # sender_loop and covered transitively.)
     r"NetFabric::(abort_degraded|learn_link_dead|link_known_dead)$",
     r"(IbFabric|GmFabric|ElanFabric)::degrade_delay$",
+    # Per-message MPI device path: every MPI message runs these, so after
+    # warm-up they must not allocate (request and record pools, inline
+    # fabric callbacks, recycled matcher buckets, splicing LRUs). Error
+    # teardown and deferred host actions carry audited allowances.
+    r"RdvChannel::(start_send|send_eager|send_rendezvous|send_shm|"
+    r"on_eager_arrival|on_shm_arrival|on_rts|on_cts)$",
+    r"ElanChannel::(start_send|on_arrival)$",
+    r"Matcher::(match_arrival|match_posted|post|add_unexpected)$",
+    r"RequestState::complete$",
+    r"NicTlb::access$",
+    r"RegistrationCache::acquire$",
 ]
 
 # Callees that defer their lambda argument beyond the current frame — a
@@ -115,7 +126,7 @@ class CallGraph:
                     add(self.by_cls_name[key])
                     resolved = True
             if not resolved and cs.receiver:
-                base = cs.receiver.split(".")[0]
+                base = cs.receiver.split(".")[0].removesuffix("[]")
                 short = self._receiver_class(fn, base)
                 if short:
                     hit = self.by_cls_name.get((short, cs.name))
