@@ -93,12 +93,15 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     }
   }
 
-  // Derive and validate the conservative partition plan up front, so an
-  // impossible --partitions request fails at construction, not mid-run.
-  // The lookahead floor is the fabric's tx wire latency: the one delay
-  // every cross-node interaction must pay before it becomes observable.
-  plan_ = make_partition_plan(static_cast<int>(cfg_.nodes), cfg_.partitions,
-                              nic.tx_wire_latency);
+  // An impossible --partitions request fails at construction, not
+  // mid-run — also when the configuration below would demote it.
+  if (cfg_.partitions < 1 ||
+      cfg_.partitions > static_cast<int>(cfg_.nodes)) {
+    throw std::invalid_argument(
+        "partitions must be in [1, nodes]; got " +
+        std::to_string(cfg_.partitions) + " for " +
+        std::to_string(cfg_.nodes) + " nodes");
+  }
 
   // The executor enforces when >= now + lookahead on every wire message;
   // the tightest slack any protocol message carries is the minimum of the
@@ -125,6 +128,13 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     effective_partitions_ = 1;
   }
   const int parts_n = effective_partitions_;
+  // Contiguous node blocks (node i -> partition i*K/nodes), matching the
+  // block rank placement; built only when running partitioned.
+  sim::pdes::Topology topo;
+  if (parts_n > 1) {
+    topo = sim::pdes::Topology::blocks(static_cast<int>(cfg_.nodes), parts_n,
+                                       l_exec);
+  }
 
   // Pre-size the event heaps from the topology: per-rank process starts,
   // in-flight window messages, NIC pipeline stages. Over-reserving a
@@ -140,7 +150,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   std::vector<sim::Engine*> node_eng(cfg_.nodes, engines_.front().get());
   if (parts_n > 1) {
     for (std::size_t n = 0; n < cfg_.nodes; ++n) {
-      node_eng[n] = engines_[static_cast<std::size_t>(plan_.part_of[n])].get();
+      node_eng[n] = engines_[static_cast<std::size_t>(topo.part_of[n])].get();
     }
   }
 
@@ -159,7 +169,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   model::FabricPartitioning fp;
   const model::FabricPartitioning* fpp = nullptr;
   if (parts_n > 1) {
-    fp.part_of = plan_.part_of;
+    fp.part_of = topo.part_of;
     for (auto& e : engines_) fp.engines.push_back(e.get());
     fpp = &fp;
   }
@@ -201,11 +211,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
 
   if (parts_n > 1) {
-    // The executor's conservative window runs on the tightest protocol
-    // slack, not the plan's tx-wire-latency bound (the plan documents the
-    // physical floor; the executor must also admit LOSS/LAND messages).
-    sim::pdes::Topology topo = plan_.to_topology();
-    topo.lookahead = l_exec;
     std::vector<sim::Engine*> raw;
     for (auto& e : engines_) raw.push_back(e.get());
     exec_ = std::make_unique<sim::pdes::FabricExecutor>(std::move(topo),
@@ -304,7 +309,9 @@ void Cluster::run_ranks(RankMain rank_main, sim::Time start) {
       eng.at(t0, [this, p, &eng, &rank_main] {
         for (auto& comm : comms_) {
           const int node = mpi_->node_of(comm->rank());
-          if (plan_.part_of[static_cast<std::size_t>(node)] != p) continue;
+          if (exec_->topology().part_of[static_cast<std::size_t>(node)] != p) {
+            continue;
+          }
           eng.spawn([](RankMain fn, mpi::Comm& c) -> sim::Task<void> {
             co_await fn(c);
           }(rank_main, *comm));

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "audit/report.hpp"
-#include "cluster/partition.hpp"
 #include "elan/elan_fabric.hpp"
 #include "fault/fault.hpp"
 #include "gm/gm_fabric.hpp"
@@ -52,7 +51,7 @@ struct ClusterConfig {
   Bus bus = Bus::kDefault;
 
   /// PDES partition count for the run (see src/sim/pdes and
-  /// cluster/partition.hpp). 1 — the default — is the sequential engine,
+  /// sim/pdes/fabric_exec.hpp). 1 — the default — is the sequential engine,
   /// byte-identical to every artifact the repo has ever produced. N > 1
   /// block-partitions the nodes over N private engines, each run on its
   /// own thread by a pdes::FabricExecutor: a partition owns its nodes'
@@ -66,8 +65,8 @@ struct ClusterConfig {
   /// state directly — Elan hardware broadcast / rendezvous hardware
   /// multicast (switch-wide fan-out), fat-tree topologies (shared spine
   /// pipes), IB on-demand connections (symmetric connection tables) —
-  /// are demoted to sequential execution: the request is validated and
-  /// recorded in partition_plan(), but effective_partitions() reports 1.
+  /// are demoted to sequential execution: the request is still validated
+  /// (it must lie in [1, nodes]), but effective_partitions() reports 1.
   int partitions = 1;
 
   /// Chaos harness (src/fault): deterministic packet drops / corruption,
@@ -142,10 +141,12 @@ class Cluster {
   /// used by the chaos tests to read fault/recovery counters.
   model::NetFabric& fabric();
 
-  /// The validated PDES partition plan for cfg.partitions (block layout;
-  /// lookahead = this fabric's tx wire latency). Always populated — the
-  /// default is the trivial single-partition plan.
-  const PartitionPlan& partition_plan() const { return plan_; }
+  /// The PDES layout a partitioned run executes under: contiguous node
+  /// blocks, and the executor's lookahead (the tightest slack any wire
+  /// protocol message carries). Null when the run is sequential.
+  const sim::pdes::Topology* partition_topology() const {
+    return exec_ ? &exec_->topology() : nullptr;
+  }
 
   /// Partitions actually executing in parallel: cfg.partitions, or 1
   /// when the configuration was demoted to sequential (see the
@@ -175,7 +176,6 @@ class Cluster {
   std::unique_ptr<elan::ElanFabric> elan_;
   std::unique_ptr<mpi::Mpi> mpi_;
   std::vector<std::unique_ptr<mpi::Comm>> comms_;
-  PartitionPlan plan_;
 };
 
 }  // namespace mns::cluster

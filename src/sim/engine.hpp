@@ -236,7 +236,10 @@ struct EventId {
   bool valid() const noexcept { return slot != UINT32_MAX; }
 };
 
-class Engine {
+// Cache-line aligned: a partitioned run keeps one engine per worker
+// thread, each writing its clock, counters and queue heads every event,
+// and engines allocated back to back must not share a line.
+class alignas(64) Engine {
  public:
   Engine() = default;
   ~Engine();

@@ -26,14 +26,43 @@ struct MsgAfter {
   }
 };
 
+void free_box(BoxDeleter del, WireMsg& m) {
+  if (m.box != nullptr && del != nullptr) del(m.box);
+  m.box = nullptr;
+}
+
 }  // namespace
+
+// One delivery carrier: the same-instant messages of one partition, in
+// (when, src, idx) order. It owns each boxed descriptor until that
+// message is dispatched, so a carrier destroyed unrun (an aborted round's
+// engine being dropped, possibly after the executor is gone) still frees
+// them. Only running it needs the executor, and a carrier runs only
+// inside a round; its destructor uses its own copy of the deleter.
+struct FabricExecutor::Batch {
+  FabricExecutor* ex;
+  BoxDeleter del;
+  std::vector<WireMsg> msgs;
+
+  Batch(FabricExecutor* e, BoxDeleter d, std::vector<WireMsg> m)
+      : ex(e), del(d), msgs(std::move(m)) {}
+  Batch(Batch&&) noexcept = default;
+  ~Batch() {
+    for (WireMsg& m : msgs) free_box(del, m);
+  }
+  void operator()() {
+    for (WireMsg& m : msgs) {
+      ex->dispatch(m);
+      m.box = nullptr;  // ownership passed to the handler
+    }
+  }
+};
 
 FabricExecutor::FabricExecutor(Topology topo, std::vector<Engine*> engines)
     : topo_(std::move(topo)),
       engines_(std::move(engines)),
       handlers_(static_cast<std::size_t>(topo_.nodes)),
       send_idx_(static_cast<std::size_t>(topo_.nodes), 0),
-      stats_(static_cast<std::size_t>(topo_.partitions)),
       idle_(static_cast<std::size_t>(topo_.partitions), false),
       errors_(static_cast<std::size_t>(topo_.partitions)) {
   topo_.validate();
@@ -46,10 +75,7 @@ FabricExecutor::FabricExecutor(Topology topo, std::vector<Engine*> engines)
   for (auto& p : parts_) p = std::make_unique<Part>();
   chan_.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(k));
   for (auto& c : chan_) c = std::make_unique<Channel>();
-  pool_.reserve(static_cast<std::size_t>(k > 1 ? k - 1 : 0));
-  for (int p = 1; p < k; ++p) {
-    pool_.emplace_back([this, p] { thread_main(p); });
-  }
+  pool_.reserve(static_cast<std::size_t>(k - 1));
 }
 
 FabricExecutor::~FabricExecutor() {
@@ -61,10 +87,10 @@ FabricExecutor::~FabricExecutor() {
   for (auto& th : pool_) th.join();
   // Abort-path hygiene: free any boxed descriptors still buffered.
   for (auto& ch : chan_) {
-    for (WireMsg& m : ch->buf) discard(m);
+    for (WireMsg& m : ch->buf) free_box(box_deleter_, m);
   }
   for (auto& part : parts_) {
-    for (WireMsg& m : part->pending) discard(m);
+    for (WireMsg& m : part->pending) free_box(box_deleter_, m);
   }
 }
 
@@ -72,13 +98,11 @@ void FabricExecutor::set_handler(int node, WireHandler h) {
   handlers_[static_cast<std::size_t>(node)] = std::move(h);
 }
 
-void FabricExecutor::set_box_deleter(std::function<void(void*)> d) {
-  box_deleter_ = std::move(d);
-}
-
-void FabricExecutor::discard(WireMsg& m) {
-  if (m.box != nullptr && box_deleter_) box_deleter_(m.box);
-  m.box = nullptr;
+std::vector<FabricExecutor::PartStats> FabricExecutor::part_stats() const {
+  std::vector<PartStats> out;
+  out.reserve(parts_.size());
+  for (const auto& part : parts_) out.push_back(part->stats);
+  return out;
 }
 
 void FabricExecutor::send(int src_node, int dst_node, Time when,
@@ -91,6 +115,8 @@ void FabricExecutor::send(int src_node, int dst_node, Time when,
                                   .count_ps();
   const std::int64_t when_ps = when.count_ps();
   if (when_ps < sat_add(now_ps, topo_.lookahead.count_ps())) {
+    // Enforced for *every* pair, intra-partition included, so whether a
+    // workload is legal never depends on the layout.
     throw std::logic_error(
         "FabricExecutor: send violates lookahead (when < now + lookahead)");
   }
@@ -111,7 +137,9 @@ void FabricExecutor::send(int src_node, int dst_node, Time when,
     std::push_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
     return;
   }
-  stats_[static_cast<std::size_t>(p)].sent += 1;
+  // sent_ is counted before the push: the termination check treats
+  // sent != received as "message still in motion".
+  mine.stats.sent += 1;
   sent_.fetch_add(1, std::memory_order_seq_cst);
   Channel& ch = channel(p, q);
   std::lock_guard<std::mutex> g(ch.mu);
@@ -125,14 +153,6 @@ void FabricExecutor::send(int src_node, int dst_node, Time when,
 
 void FabricExecutor::run_round(const std::function<void(int)>& setup) {
   const int k = topo_.partitions;
-  if (k == 1) {
-    // Degenerate single-partition round: the sequential engine, no
-    // synchronization protocol at all (Cluster normally bypasses the
-    // executor entirely in this case).
-    setup(0);
-    engines_[0]->run();
-    return;
-  }
   for (auto& part : parts_) part->known.store(0, std::memory_order_seq_cst);
   std::fill(idle_.begin(), idle_.end(), false);
   sent_.store(0, std::memory_order_seq_cst);
@@ -147,10 +167,27 @@ void FabricExecutor::run_round(const std::function<void(int)>& setup) {
     ++round_gen_;
   }
   round_cv_.notify_all();
+  // Workers are created by the first round, after it is published, not
+  // parked at construction: a new thread starts on an idle core, while a
+  // parked one woken here can queue behind this busy thread until the
+  // scheduler migrates it — milliseconds a one-round pdes::run pays in
+  // full.
+  try {
+    for (int p = static_cast<int>(pool_.size()) + 1; p < k; ++p) {
+      pool_.emplace_back([this, p] { thread_main(p); });
+    }
+  } catch (...) {
+    // Without all its partitions the round cannot finish: fail it, so
+    // the workers that did start see the abort and park.
+    errors_[0] = std::current_exception();
+    abort_.store(true, std::memory_order_seq_cst);
+  }
   round(0);
   {
     std::unique_lock<std::mutex> lk(round_mu_);
-    park_cv_.wait(lk, [&] { return done_workers_ == k - 1; });
+    park_cv_.wait(lk, [&] {
+      return done_workers_ == static_cast<int>(pool_.size());
+    });
     setup_ = nullptr;
   }
   for (std::size_t p = 0; p < errors_.size(); ++p) {
@@ -161,15 +198,12 @@ void FabricExecutor::run_round(const std::function<void(int)>& setup) {
 void FabricExecutor::thread_main(int p) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(int)>* setup = nullptr;
     {
       std::unique_lock<std::mutex> lk(round_mu_);
       round_cv_.wait(lk, [&] { return quit_ || round_gen_ > seen; });
       if (quit_) return;
       seen = round_gen_;
-      setup = setup_;
     }
-    (void)setup;
     round(p);
     {
       std::lock_guard<std::mutex> g(round_mu_);
@@ -185,6 +219,8 @@ void FabricExecutor::round(int p) {
     if (setup_) (*setup_)(p);
     loop(p, eng);
     if (!abort_.load(std::memory_order_acquire) && eng.live_processes() > 0) {
+      // Global quiescence with live non-daemon processes: the same
+      // deadlock the sequential run() reports.
       throw DeadlockError(eng.live_processes());
     }
   } catch (...) {
@@ -194,37 +230,72 @@ void FabricExecutor::round(int p) {
   }
 }
 
-// The barrier-free LBTS loop; structurally the proof-carrying loop of
-// pdes.cpp (see the seqlock and termination comments there).
+// The barrier-free LBTS loop.
+//
+// Safe time. Every partition publishes its `known` horizon (earliest
+// unprocessed event, local or pending delivery); every channel publishes
+// the minimum timestamp buffered in it. Any future message descends,
+// through executions each adding >= 0 and a final send adding
+// >= lookahead, from one of those locations, so
+//   safe = min(every known horizon, every channel minimum) + lookahead
+// bounds every delivery this partition can still receive, and every
+// event strictly before `safe` can run now.
+//
+// The seqlock. Evidence of one in-flight message MOVES between those
+// locations over its life (sender horizon -> channel minimum -> receiver
+// horizon, each new location written before the old one is released),
+// so a fixed-order scan — in any order, however many passes — can be
+// defeated by a transfer chain interleaving with it. The two writes that
+// remove evidence (raising a horizon at round end, resetting a drained
+// channel's minimum) therefore go through remove_evidence(): they
+// serialize on gen_mu_ (single writer, so odd/even parity is
+// meaningful) and hold gen_ odd for their duration. A scan accepts only a
+// minimum read entirely within one even, unchanged generation — a window
+// in which no evidence vanished, so whatever evidence existed when the
+// window opened was still in place when each location was read.
+// Evidence-adding writes (a send lowering a channel minimum, a drain
+// lowering the receiver's horizon) bypass the lock: a scan that sees
+// them early only computes a smaller, more conservative safe time. Lock
+// order: ch.mu -> gen_mu_ (drain); the raise site takes gen_mu_ alone.
+//
+// With one partition there is nothing to scan or drain: safe is
+// unbounded and the loop reduces to the sequential engine interleaved
+// with the partition's own (self-sent) deliveries.
 void FabricExecutor::loop(int p, Engine& eng) {
   Part& mine = *parts_[static_cast<std::size_t>(p)];
-  PartStats& st = stats_[static_cast<std::size_t>(p)];
+  PartStats& st = mine.stats;
+  const bool sync = topo_.partitions > 1;
   const std::int64_t la = topo_.lookahead.count_ps();
   bool is_idle = false;
   for (;;) {
     if (abort_.load(std::memory_order_acquire)) return;
     if (done_.load(std::memory_order_acquire)) break;
 
-    st.lbts_rounds += 1;
     std::int64_t m = kInf;
-    for (;;) {
-      const std::uint64_t g0 = gen_.load(std::memory_order_seq_cst);
-      if ((g0 & 1) == 0) {
-        m = kInf;
-        for (const auto& ch : chan_) {
-          m = std::min(m, ch->min_when.load(std::memory_order_seq_cst));
+    if (sync) {
+      st.lbts_rounds += 1;
+      for (;;) {
+        const std::uint64_t g0 = gen_.load(std::memory_order_seq_cst);
+        if ((g0 & 1) == 0) {
+          m = kInf;
+          for (const auto& ch : chan_) {
+            m = std::min(m, ch->min_when.load(std::memory_order_seq_cst));
+          }
+          for (const auto& part : parts_) {
+            m = std::min(m, part->known.load(std::memory_order_seq_cst));
+          }
+          if (gen_.load(std::memory_order_seq_cst) == g0) break;
         }
-        for (const auto& part : parts_) {
-          m = std::min(m, part->known.load(std::memory_order_seq_cst));
-        }
-        if (gen_.load(std::memory_order_seq_cst) == g0) break;
+        if (abort_.load(std::memory_order_relaxed)) return;
       }
-      if (abort_.load(std::memory_order_relaxed)) return;
+      drain(p, is_idle);
     }
     const std::int64_t safe = sat_add(m, la);
 
-    drain(p, is_idle);
-
+    // Execute everything strictly before the safe time, interleaving
+    // deliveries with engine events: all deliveries for time t are
+    // injected (as one batch, in (when, src, idx) order) before the first
+    // event at t runs — the partition-invariant moment.
     bool progressed = false;
     for (;;) {
       const std::int64_t t_local = eng.next_event_at_ps();
@@ -233,7 +304,7 @@ void FabricExecutor::loop(int p, Engine& eng) {
       const std::int64_t t = std::min(t_local, t_chan);
       if (t >= safe) break;
       if (t_chan <= t_local) {
-        deliver_batch(mine, eng, p, t_chan);
+        deliver_batch(mine, eng, t_chan);
       } else {
         eng.step_one();
       }
@@ -242,6 +313,8 @@ void FabricExecutor::loop(int p, Engine& eng) {
     }
     st.events = eng.events_processed();
 
+    // Publish the new horizon (owner-only). Lowering it adds evidence
+    // and may race freely with scans; raising it removes evidence.
     const std::int64_t horizon =
         std::min(eng.next_event_at_ps(),
                  mine.pending.empty() ? kInf : mine.pending.front().when_ps);
@@ -254,6 +327,11 @@ void FabricExecutor::loop(int p, Engine& eng) {
     }
 
     if (horizon == kInf) {
+      // Termination. Quiescent: flag it and test global termination.
+      // Idle flags only change under term_mu_, sends count before the
+      // channel push and drains clear the flag before counting the
+      // receive, so "all idle and sent == received" can only be observed
+      // when no message can ever wake anyone again.
       std::lock_guard<std::mutex> g(term_mu_);
       if (!is_idle) {
         idle_[static_cast<std::size_t>(p)] = true;
@@ -287,6 +365,11 @@ MNS_HOT void FabricExecutor::drain(int p, bool& is_idle) {
       got.swap(ch.buf);
       std::int64_t mn = kInf;
       for (const WireMsg& msg : got) mn = std::min(mn, msg.when_ps);
+      // Take responsibility for the drained messages *before* the
+      // channel forgets them: lower our horizon first (evidence-adding,
+      // lock-free), then clear the in-flight minimum through the seqlock
+      // — the clear is an evidence removal, legal only because the
+      // lowered horizon now carries the same evidence.
       if (mn < mine.known.load(std::memory_order_seq_cst)) {
         mine.known.store(mn, std::memory_order_seq_cst);
       }
@@ -300,7 +383,7 @@ MNS_HOT void FabricExecutor::drain(int p, bool& is_idle) {
       is_idle = false;
     }
     received_.fetch_add(got.size(), std::memory_order_seq_cst);
-    stats_[static_cast<std::size_t>(p)].received += got.size();
+    mine.stats.received += got.size();
     for (const WireMsg& msg : got) {
       mine.pending.push_back(msg);
       std::push_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
@@ -318,37 +401,24 @@ void FabricExecutor::dispatch(const WireMsg& m) {
   h(m);
 }
 
+// Pop every pending delivery at time t (the heap yields them in
+// (when, src, idx) order) and inject them as ONE engine event. The engine
+// assigns a drained group contiguous seqs either way, so fusing them
+// cannot reorder anything — it just replaces n queue entries with one.
 // MNS_HOT: one vector per same-timestamp batch, not per message — the
-// batch must outlive this frame (the BatchGuard owns the boxed
-// descriptors until the batch event runs), so it cannot live in a pool
-// keyed to this call.
-MNS_HOT void FabricExecutor::deliver_batch(Part& mine, Engine& eng, int p,
-                                   std::int64_t t) {
-  std::vector<WireMsg> batch;
+// batch owns its boxed descriptors until the carrier runs, so it cannot
+// live in a pool keyed to this call.
+MNS_HOT void FabricExecutor::deliver_batch(Part& mine, Engine& eng,
+                                           std::int64_t t) {
+  std::vector<WireMsg> msgs;
   while (!mine.pending.empty() && mine.pending.front().when_ps == t) {
     std::pop_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
-    batch.push_back(mine.pending.back());
+    msgs.push_back(mine.pending.back());
     mine.pending.pop_back();
   }
-  stats_[static_cast<std::size_t>(p)].batches += 1;
-  // The guard owns the boxed descriptors until each message is actually
-  // dispatched: a batch event destroyed unrun (drop_processes on an
-  // abort path) must still free them.
-  struct BatchGuard {
-    FabricExecutor* ex;
-    std::vector<WireMsg> msgs;
-    ~BatchGuard() {
-      for (WireMsg& m : msgs) ex->discard(m);
-    }
-  };
+  mine.stats.batches += 1;
   eng.at(Time::ps(t),
-         EventFn::make(
-             [g = std::make_shared<BatchGuard>(this, std::move(batch))]() {
-               for (WireMsg& m : g->msgs) {
-                 g->ex->dispatch(m);
-                 m.box = nullptr;  // ownership passed to the handler
-               }
-             }));
+         EventFn::make(Batch(this, box_deleter_, std::move(msgs))));
 }
 
 }  // namespace mns::sim::pdes

@@ -1,28 +1,29 @@
-// Conservative PDES executor for the cluster fabric (the `--partitions`
-// execution engine behind cluster::Cluster).
+// The conservative PDES executor: the one runtime behind both
+// pdes::run() and cluster::Cluster's `--partitions` execution.
 //
-// pdes::run() owns its engines and lives for one call; the cluster needs
-// the inverse shape: the partition Engines are owned by Cluster (pipes,
-// NIC state, MPI procs and their coroutine frames all hang off them and
-// outlive any single run), and Cluster::run() is called repeatedly on
-// the same instance. FabricExecutor therefore
-//   - borrows a fixed vector of Engines, one per partition, for its
-//     whole lifetime;
+// FabricExecutor borrows a fixed vector of Engines, one per partition,
+// for its whole lifetime (the caller owns them: Cluster's pipes, NIC
+// state, MPI procs and their coroutine frames all hang off its engines
+// and outlive any single round), and executes them to global quiescence
+// once per run_round() call. It
 //   - keeps one persistent worker thread per partition > 0 (partition 0
-//     always executes on the caller), parked between rounds, so
-//     coroutine frames created while executing partition p's events
-//     always allocate and free on the same thread's frame pool;
+//     always executes on the caller), started by the first round and
+//     parked between rounds, so coroutine frames created while executing
+//     partition p's events always allocate and free on the same thread's
+//     frame pool;
+//   - at partitions == 1 creates no thread and runs the caller's engine
+//     through the same event/delivery loop, minus the safe-time scan and
+//     channel drain, which have nothing to synchronize;
 //   - carries a small payload (three words + an optional boxed
-//     descriptor) per message instead of pdes::run()'s single word: the
-//     fabric's split-flow protocol ships a flow descriptor once per
-//     message and per-packet words afterwards.
+//     descriptor) per message: the fabric's split-flow protocol ships a
+//     flow descriptor once per message and per-packet words afterwards;
+//     pdes::run() uses one word.
 //
 // The synchronization protocol — barrier-free LBTS with the
 // evidence-removal seqlock, heap-merged (when, src node, send idx)
-// delivery batches, counting termination — is the one proved out in
-// sim/pdes/pdes.cpp; see that file's comments for the full argument.
-// The merge key is partition-invariant here for the same reason: every
-// component is a pure function of the sending node's deterministic
+// delivery batches, counting termination — and its correctness argument
+// live in fabric_exec.cpp. The merge key is partition-invariant because
+// every component is a pure function of the sending node's deterministic
 // history.
 #pragma once
 
@@ -45,8 +46,8 @@ namespace mns::sim::pdes {
 /// One timestamped cross-partition fabric message. (when_ps, src_node,
 /// send_idx) is the deterministic merge key; a/b/c are protocol words
 /// interpreted by the destination handler; `box` optionally carries a
-/// heap descriptor whose ownership passes to the handler (the executor
-/// frees undelivered boxes through the registered deleter on abort).
+/// heap descriptor whose ownership passes to the handler (undelivered
+/// boxes are freed through the registered deleter).
 struct WireMsg {
   std::int64_t when_ps = 0;
   std::int32_t src_node = 0;
@@ -61,6 +62,12 @@ struct WireMsg {
 /// Invoked on the destination node's owning partition, at the message
 /// timestamp, in deterministic (when, src node, send idx) order.
 using WireHandler = std::function<void(const WireMsg&)>;
+
+/// Frees an undelivered WireMsg::box. A plain function pointer, so a
+/// queued delivery can carry its own copy and free its boxes even after
+/// the executor is gone (an aborted round leaves carriers in the engines,
+/// which the owner destroys later).
+using BoxDeleter = void (*)(void*);
 
 class FabricExecutor {
  public:
@@ -79,20 +86,22 @@ class FabricExecutor {
   };
 
   /// `engines[p]` is partition p's engine; the executor borrows them
-  /// (Cluster owns engine lifetime). Spawns partitions-1 parked worker
-  /// threads that live until destruction.
+  /// (the caller owns engine lifetime). The first round starts
+  /// partitions-1 worker threads, which park between rounds and live
+  /// until destruction.
   FabricExecutor(Topology topo, std::vector<Engine*> engines);
   ~FabricExecutor();
   FabricExecutor(const FabricExecutor&) = delete;
   FabricExecutor& operator=(const FabricExecutor&) = delete;
 
-  /// Register `node`'s handler (before the first round; not thread-safe
-  /// against a running round).
+  /// Register `node`'s handler: before the first round, or during a
+  /// round's setup by the partition that owns `node` (each entry is then
+  /// written and read by that partition's thread only).
   void set_handler(int node, WireHandler h);
 
-  /// Deleter for WireMsg::box, used only for messages the executor must
-  /// discard itself (abort paths); delivered boxes belong to handlers.
-  void set_box_deleter(std::function<void(void*)> d);
+  /// Deleter for WireMsg::box, used only for messages that are never
+  /// dispatched (abort paths); delivered boxes belong to handlers.
+  void set_box_deleter(BoxDeleter d) { box_deleter_ = d; }
 
   /// Timestamped message from src_node (must be called on its owning
   /// partition's thread) to dst_node's handler at absolute time `when`.
@@ -107,19 +116,28 @@ class FabricExecutor {
   /// Throws the lowest-partition failure after every thread has parked.
   void run_round(const std::function<void(int)>& setup);
 
-  const std::vector<PartStats>& part_stats() const { return stats_; }
+  /// Counters of every partition (consistent between rounds).
+  std::vector<PartStats> part_stats() const;
   const Topology& topology() const { return topo_; }
   int partitions() const { return topo_.partitions; }
 
  private:
+  // The atomics every scan reads sit alone on their cache lines, apart
+  // from the state their owners write on every send, delivery and event.
   struct Channel {
-    std::mutex mu;
+    // Minimum timestamp buffered in-flight (INT64_MAX when empty): the
+    // scan reads it so a message between "pushed" and "drained" is never
+    // invisible.
+    alignas(64) std::atomic<std::int64_t> min_when{INT64_MAX};
+    alignas(64) std::mutex mu;
     std::vector<WireMsg> buf;
-    std::atomic<std::int64_t> min_when{INT64_MAX};
   };
   struct Part {
-    std::vector<WireMsg> pending;  // min-heap by (when, src, idx)
-    std::atomic<std::int64_t> known{0};
+    // Earliest unprocessed event, local or pending (INT64_MAX when
+    // drained). Written by the owner only; read by every scan.
+    alignas(64) std::atomic<std::int64_t> known{0};
+    alignas(64) std::vector<WireMsg> pending;  // min-heap by (when, src, idx)
+    PartStats stats;                           // owner-thread only
   };
 
   Channel& channel(int from, int to) {
@@ -131,9 +149,9 @@ class FabricExecutor {
   void round(int p);
   void loop(int p, Engine& eng);
   void drain(int p, bool& is_idle);
-  void deliver_batch(Part& mine, Engine& eng, int p, std::int64_t t);
+  struct Batch;  // one delivery carrier (fabric_exec.cpp)
+  void deliver_batch(Part& mine, Engine& eng, std::int64_t t);
   void dispatch(const WireMsg& m);
-  void discard(WireMsg& m);
   template <typename Store>
   void remove_evidence(Store&& store) {
     std::lock_guard<std::mutex> g(gen_mu_);
@@ -148,20 +166,21 @@ class FabricExecutor {
   std::vector<std::unique_ptr<Channel>> chan_;  // [from * K + to]
   std::vector<WireHandler> handlers_;           // per node
   std::vector<std::uint64_t> send_idx_;         // per node, owner-thread
-  std::vector<PartStats> stats_;
-  std::function<void(void*)> box_deleter_;
+  BoxDeleter box_deleter_ = nullptr;
 
-  // Evidence-removal seqlock (see pdes.cpp).
+  // Evidence-removal seqlock (see remove_evidence's callers).
+  alignas(64) std::atomic<std::uint64_t> gen_{0};
   std::mutex gen_mu_;
-  std::atomic<std::uint64_t> gen_{0};
 
-  // Termination protocol state, reset per round.
-  std::mutex term_mu_;
-  std::vector<bool> idle_;
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<bool> done_{false};
+  // Termination protocol state, reset per round. The flags every loop
+  // iteration polls live apart from the counters every cross-partition
+  // send and drain bumps.
+  alignas(64) std::atomic<bool> done_{false};
   std::atomic<bool> abort_{false};
+  alignas(64) std::atomic<std::uint64_t> sent_{0};
+  std::atomic<std::uint64_t> received_{0};
+  alignas(64) std::mutex term_mu_;
+  std::vector<bool> idle_;
   std::vector<std::exception_ptr> errors_;
 
   // Round/parking protocol: workers wait for round_gen_ to advance (or

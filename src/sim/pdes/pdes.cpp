@@ -1,47 +1,19 @@
 #include "sim/pdes/pdes.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
+
+#include "sim/pdes/fabric_exec.hpp"
 
 namespace mns::sim::pdes {
 
 namespace {
 
-constexpr std::int64_t kInf = INT64_MAX;
-
-std::int64_t sat_add(std::int64_t a, std::int64_t b) {
-  return a >= kInf - b ? kInf : a + b;
+bool owned_by(const Topology& topo, int node, int part) {
+  return node >= 0 && node < topo.nodes &&
+         topo.part_of[static_cast<std::size_t>(node)] == part;
 }
-
-// A timestamped cross-partition message. The ordering key
-// (when, src_node, send_idx) is a pure function of the sending node's
-// deterministic history — never of the partition layout — which is what
-// makes the delivery order partition-invariant. Trivially copyable: the
-// payload is one data word, interpreted by the destination node's
-// registered handler on the destination's own thread.
-struct Msg {
-  std::int64_t when_ps = 0;
-  std::int32_t src_node = 0;
-  std::int32_t dst_node = 0;
-  std::uint64_t send_idx = 0;
-  std::uint64_t word = 0;
-};
-
-// "a after b" comparator: std::push_heap/pop_heap build a max-heap, so
-// inverting the order yields a min-heap popping (when, src, idx) order.
-struct MsgAfter {
-  bool operator()(const Msg& a, const Msg& b) const noexcept {
-    if (a.when_ps != b.when_ps) return a.when_ps > b.when_ps;
-    if (a.src_node != b.src_node) return a.src_node > b.src_node;
-    return a.send_idx > b.send_idx;
-  }
-};
 
 }  // namespace
 
@@ -112,431 +84,109 @@ std::uint64_t Result::digest() const {
   return h;
 }
 
-// The runtime: per-partition state, channels, the LBTS protocol and the
-// worker loop. One Executor per run(); partitions index into dense
-// arrays sized at construction, before any worker starts.
-class Executor {
- public:
-  Executor(const Topology& topo, std::uint64_t event_limit)
-      : topo_(topo),
-        limit_(event_limit),
-        parts_(static_cast<std::size_t>(topo.partitions)),
-        idle_(static_cast<std::size_t>(topo.partitions), false),
-        errors_(static_cast<std::size_t>(topo.partitions)),
-        send_idx_(static_cast<std::size_t>(topo.nodes), 0),
-        emit_idx_(static_cast<std::size_t>(topo.nodes), 0),
-        handlers_(static_cast<std::size_t>(topo.nodes)) {
-    const int k = topo_.partitions;
-    chan_.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(k));
-    for (auto& c : chan_) c = std::make_unique<Channel>();
-    for (int n = 0; n < topo_.nodes; ++n) {
-      parts_[static_cast<std::size_t>(topo_.part_of[static_cast<std::size_t>(
-                 n)])]
-          .owned.push_back(n);
-    }
-  }
-
-  Result run(const Build& build) {
-    const int k = topo_.partitions;
-    // Workers own their Engine for its whole lifecycle (construction,
-    // processing, destruction) so coroutine frames allocate and free on
-    // one thread's frame pool. Partition 0 runs on the caller; for
-    // k == 1 that means no thread is created at all and the executor is
-    // the sequential engine plus the (empty-channel) drain discipline —
-    // the same code path the parallel runs must match bit-for-bit.
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(k > 1 ? k - 1 : 0));
-    for (int p = 1; p < k; ++p) {
-      pool.emplace_back([this, p, &build] { worker(p, build); });
-    }
-    worker(0, build);
-    for (auto& th : pool) th.join();
-
-    for (std::size_t p = 0; p < errors_.size(); ++p) {
-      if (errors_[p]) std::rethrow_exception(errors_[p]);
-    }
-
-    Result r;
-    std::size_t total = 0;
-    for (const Part& part : parts_) total += part.emissions.size();
-    r.emissions.reserve(total);
-    for (Part& part : parts_) {
-      r.emissions.insert(r.emissions.end(),
-                         std::make_move_iterator(part.emissions.begin()),
-                         std::make_move_iterator(part.emissions.end()));
-      r.end_ps = std::max(r.end_ps, part.end_ps);
-      // Batch carrier events are layout-dependent (same-instant messages
-      // split across destination partitions fuse differently), so they
-      // are excluded: `events` counts workload events only and is
-      // partition-invariant like every counter except delivery_batches.
-      r.events += part.events - part.batches;
-      r.messages += part.messages;
-      r.delivery_batches += part.batches;
-    }
-    // The merge rule: (time, node, per-node index). Every component is
-    // partition-invariant, and (node, idx) pairs are unique, so this
-    // order is total and identical for every partition count.
-    std::sort(r.emissions.begin(), r.emissions.end(),
-              [](const Emission& a, const Emission& b) {
-                if (a.at_ps != b.at_ps) return a.at_ps < b.at_ps;
-                if (a.node != b.node) return a.node < b.node;
-                return a.idx < b.idx;
-              });
-    return r;
-  }
-
-  void send(Context& ctx, int src, int dst, Time when, std::uint64_t word) {
-    if (src < 0 || src >= topo_.nodes || dst < 0 || dst >= topo_.nodes) {
-      throw std::logic_error("pdes: send with node out of range");
-    }
-    if (topo_.part_of[static_cast<std::size_t>(src)] != ctx.partition()) {
-      throw std::logic_error(
-          "pdes: send from a node this partition does not own");
-    }
-    const std::int64_t now_ps = ctx.engine().now().count_ps();
-    const std::int64_t when_ps = when.count_ps();
-    if (when_ps < sat_add(now_ps, topo_.lookahead.count_ps())) {
-      // Enforced for *every* pair, intra-partition included, so whether
-      // a workload is legal never depends on the layout.
-      throw std::logic_error(
-          "pdes: send violates lookahead (when < now + lookahead)");
-    }
-    Msg m;
-    m.when_ps = when_ps;
-    m.src_node = src;
-    m.dst_node = dst;
-    m.send_idx = send_idx_[static_cast<std::size_t>(src)]++;
-    m.word = word;
-    const int p = ctx.partition();
-    const int q = topo_.part_of[static_cast<std::size_t>(dst)];
-    Part& mine = parts_[static_cast<std::size_t>(p)];
-    if (q == p) {
-      mine.pending.push_back(m);
-      std::push_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
-      return;
-    }
-    // sent_ is counted before the push: the termination check treats
-    // sent != received as "message still in motion".
-    sent_.fetch_add(1, std::memory_order_seq_cst);
-    Channel& ch = channel(p, q);
-    std::lock_guard<std::mutex> g(ch.mu);
-    if (when_ps < ch.min_when.load(std::memory_order_seq_cst)) {
-      ch.min_when.store(when_ps, std::memory_order_seq_cst);
-    }
-    ch.buf.push_back(m);
-  }
-
-  void on_message(Context& ctx, int node, MsgHandler h) {
-    if (node < 0 || node >= topo_.nodes ||
-        topo_.part_of[static_cast<std::size_t>(node)] != ctx.partition()) {
-      throw std::logic_error(
-          "pdes: on_message for a node this partition does not own");
-    }
-    handlers_[static_cast<std::size_t>(node)] = std::move(h);
-  }
-
-  void emit(Context& ctx, int node, std::uint64_t word) {
-    if (node < 0 || node >= topo_.nodes ||
-        topo_.part_of[static_cast<std::size_t>(node)] != ctx.partition()) {
-      throw std::logic_error(
-          "pdes: emit for a node this partition does not own");
-    }
-    Part& mine = parts_[static_cast<std::size_t>(ctx.partition())];
-    Emission e;
-    e.at_ps = ctx.engine().now().count_ps();
-    e.node = node;
-    e.idx = emit_idx_[static_cast<std::size_t>(node)]++;
-    e.word = word;
-    mine.emissions.push_back(e);
-  }
-
- private:
-  struct Channel {
-    std::mutex mu;
-    std::vector<Msg> buf;
-    // Minimum timestamp buffered in-flight (kInf when empty): the LBTS
-    // scan reads this so a message between "pushed" and "drained" is
-    // never invisible.
-    std::atomic<std::int64_t> min_when{kInf};
-  };
-
-  struct Part {
-    // Owner-thread state -------------------------------------------------
-    std::vector<Msg> pending;  // min-heap by (when, src, idx)
-    std::vector<Emission> emissions;
-    std::vector<int> owned;  // node ids, ascending (built before workers)
-    std::int64_t end_ps = 0;
-    std::uint64_t events = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t batches = 0;
-    // Published state ----------------------------------------------------
-    // Earliest unprocessed event, local or pending (kInf when drained).
-    // Written by the owner only; read by every LBTS scan.
-    std::atomic<std::int64_t> known{0};
-  };
-
-  Channel& channel(int from, int to) {
-    return *chan_[static_cast<std::size_t>(from) *
-                      static_cast<std::size_t>(topo_.partitions) +
-                  static_cast<std::size_t>(to)];
-  }
-
-  void worker(int p, const Build& build) {
-    try {
-      Engine eng;
-      eng.set_event_limit(limit_);
-      Context ctx;
-      ctx.exec_ = this;
-      ctx.eng_ = &eng;
-      ctx.part_ = p;
-      ctx.owned_ = parts_[static_cast<std::size_t>(p)].owned;
-      build(ctx);
-      loop(ctx, eng);
-      if (!abort_.load(std::memory_order_acquire) &&
-          eng.live_processes() > 0) {
-        // Global quiescence with live non-daemon processes: the same
-        // deadlock the sequential run() reports.
-        throw DeadlockError(eng.live_processes());
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> g(term_mu_);
-      errors_[static_cast<std::size_t>(p)] = std::current_exception();
-      abort_.store(true, std::memory_order_release);
-    }
-  }
-
-  void loop(Context& ctx, Engine& eng) {
-    const int p = ctx.partition();
-    Part& mine = parts_[static_cast<std::size_t>(p)];
-    const int k = topo_.partitions;
-    const std::int64_t la = topo_.lookahead.count_ps();
-    bool is_idle = false;
-    for (;;) {
-      if (abort_.load(std::memory_order_acquire)) return;
-      if (done_.load(std::memory_order_acquire)) break;
-
-      // LBTS: safe = min(every known horizon, every channel in-flight
-      // minimum) + lookahead. Evidence of one in-flight message MOVES
-      // between those locations over its life (sender horizon -> channel
-      // minimum -> receiver horizon, each new location written before
-      // the old one is released), so a fixed-order scan — even one that
-      // re-reads the channels after the horizons — can be defeated by a
-      // transfer chain interleaving with it. The scan therefore retries
-      // under the evidence seqlock: gen_ is odd while a removal is in
-      // flight, so a scan bracketed by the same even gen_ ran in a
-      // window where no evidence vanished, and whatever evidence existed
-      // when the window opened was still in place when each location was
-      // read.
-      std::int64_t m = kInf;
-      if (k > 1) {
-        for (;;) {
-          const std::uint64_t g0 = gen_.load(std::memory_order_seq_cst);
-          if ((g0 & 1) == 0) {
-            m = kInf;
-            for (const auto& ch : chan_) {
-              m = std::min(m, ch->min_when.load(std::memory_order_seq_cst));
-            }
-            for (const Part& part : parts_) {
-              m = std::min(m, part.known.load(std::memory_order_seq_cst));
-            }
-            if (gen_.load(std::memory_order_seq_cst) == g0) break;
-          }
-          if (abort_.load(std::memory_order_relaxed)) return;
-        }
-      }
-      const std::int64_t safe = sat_add(m, la);
-
-      if (k > 1) drain(p, is_idle);
-
-      // Execute everything strictly before the safe time, interleaving
-      // channel deliveries with engine events: all deliveries for time t
-      // are injected (as one batch, in (when, src, idx) order) before
-      // the first event at t runs — the partition-invariant moment.
-      bool progressed = false;
-      for (;;) {
-        const std::int64_t t_local = eng.next_event_at_ps();
-        const std::int64_t t_chan =
-            mine.pending.empty() ? kInf : mine.pending.front().when_ps;
-        const std::int64_t t = std::min(t_local, t_chan);
-        if (t >= safe) break;
-        if (t_chan <= t_local) {
-          deliver_batch(ctx, mine, eng, t_chan);
-        } else {
-          eng.step_one();
-        }
-        progressed = true;
-        if (abort_.load(std::memory_order_relaxed)) return;
-      }
-      mine.events = eng.events_processed();
-      mine.end_ps = std::max(mine.end_ps, eng.now().count_ps());
-
-      // Publish the new horizon (owner-only). Lowering it adds evidence
-      // and may race freely with scans; RAISING it removes evidence and
-      // must go through the seqlock so no concurrent scan half-sees the
-      // move.
-      const std::int64_t horizon =
-          std::min(eng.next_event_at_ps(),
-                   mine.pending.empty() ? kInf : mine.pending.front().when_ps);
-      const std::int64_t prev = mine.known.load(std::memory_order_relaxed);
-      if (horizon > prev) {
-        remove_evidence(
-            [&] { mine.known.store(horizon, std::memory_order_seq_cst); });
-      } else if (horizon < prev) {
-        mine.known.store(horizon, std::memory_order_seq_cst);
-      }
-
-      if (horizon == kInf) {
-        // Quiescent: flag it and test global termination. Idle flags only
-        // change under term_mu_, sends count before the channel push and
-        // drains clear the flag before counting the receive, so
-        // "all idle and sent == received" can only be observed when no
-        // message can ever wake anyone again.
-        std::lock_guard<std::mutex> g(term_mu_);
-        if (!is_idle) {
-          idle_[static_cast<std::size_t>(p)] = true;
-          is_idle = true;
-        }
-        if (std::all_of(idle_.begin(), idle_.end(),
-                        [](bool b) { return b; }) &&
-            sent_.load(std::memory_order_seq_cst) ==
-                received_.load(std::memory_order_seq_cst)) {
-          done_.store(true, std::memory_order_release);
-          break;
-        }
-      }
-      if (!progressed) std::this_thread::yield();
-    }
-  }
-
-  void drain(int p, bool& is_idle) {
-    Part& mine = parts_[static_cast<std::size_t>(p)];
-    const int k = topo_.partitions;
-    std::vector<Msg> got;
-    for (int q = 0; q < k; ++q) {
-      if (q == p) continue;
-      Channel& ch = channel(q, p);
-      if (ch.min_when.load(std::memory_order_seq_cst) == kInf) continue;
-      got.clear();
-      {
-        std::lock_guard<std::mutex> g(ch.mu);
-        got.swap(ch.buf);
-        std::int64_t mn = kInf;
-        for (const Msg& msg : got) mn = std::min(mn, msg.when_ps);
-        // Take responsibility for the drained messages *before* the
-        // channel forgets them: lower our horizon first (evidence-adding,
-        // lock-free), then clear the in-flight minimum through the
-        // seqlock — the clear is an evidence removal, legal only because
-        // the lowered horizon now carries the same evidence.
-        if (mn < mine.known.load(std::memory_order_seq_cst)) {
-          mine.known.store(mn, std::memory_order_seq_cst);
-        }
-        remove_evidence(
-            [&] { ch.min_when.store(kInf, std::memory_order_seq_cst); });
-      }
-      if (got.empty()) continue;
-      if (is_idle) {
-        std::lock_guard<std::mutex> g(term_mu_);
-        idle_[static_cast<std::size_t>(p)] = false;
-        is_idle = false;
-      }
-      received_.fetch_add(got.size(), std::memory_order_seq_cst);
-      for (const Msg& msg : got) {
-        mine.pending.push_back(msg);
-        std::push_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
-      }
-    }
-  }
-
-  void dispatch(Context& ctx, const Msg& m) {
-    const MsgHandler& h = handlers_[static_cast<std::size_t>(m.dst_node)];
-    if (!h) {
-      throw std::logic_error("pdes: message for node " +
-                             std::to_string(m.dst_node) +
-                             " with no registered handler");
-    }
-    h(ctx, m.dst_node, m.word);
-  }
-
-  // Pop every pending delivery at time t (the heap yields them in
-  // (when, src, idx) order) and inject them as ONE engine event. The
-  // engine assigns a drained group contiguous seqs either way, so fusing
-  // them cannot reorder anything — it just replaces n heap sifts with
-  // one (per-link event batching on the delivery path).
-  void deliver_batch(Context& ctx, Part& mine, Engine& eng,
-                     std::int64_t t) {
-    std::vector<Msg> batch;
-    while (!mine.pending.empty() && mine.pending.front().when_ps == t) {
-      std::pop_heap(mine.pending.begin(), mine.pending.end(), MsgAfter{});
-      batch.push_back(mine.pending.back());
-      mine.pending.pop_back();
-    }
-    mine.messages += batch.size();
-    mine.batches += 1;
-    Context* cp = &ctx;  // outlives every event (lives through the loop)
-    eng.at(Time::ps(t),
-           EventFn::make([this, cp, batch = std::move(batch)]() mutable {
-             for (const Msg& m : batch) dispatch(*cp, m);
-           }));
-  }
-
-  // Evidence-removal seqlock. Raising a known horizon back up and
-  // resetting a drained channel's minimum are the only writes that make
-  // a timestamp *disappear* from the LBTS scan's view; they serialize on
-  // gen_mu_ (single writer, so odd/even parity is meaningful) and hold
-  // gen_ odd for their duration. Evidence-ADDING writes — a send
-  // lowering a channel minimum, a drain lowering the receiver's horizon
-  // — bypass it entirely: a scan that sees them early only computes a
-  // smaller, more conservative safe time. Lock order: ch.mu -> gen_mu_
-  // (drain); the raise site takes gen_mu_ alone.
-  template <typename Store>
-  void remove_evidence(Store&& store) {
-    std::lock_guard<std::mutex> g(gen_mu_);
-    gen_.fetch_add(1, std::memory_order_seq_cst);
-    store();
-    gen_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
-  const Topology topo_;
-  const std::uint64_t limit_;
-  std::vector<Part> parts_;
-  std::vector<std::unique_ptr<Channel>> chan_;  // [from * K + to]
-  std::mutex gen_mu_;
-  std::atomic<std::uint64_t> gen_{0};
-  // Termination protocol (see loop()/drain()). Idle flags are guarded by
-  // term_mu_; the message counters are seq-cst atomics ordered against
-  // the channel operations.
-  std::mutex term_mu_;
-  std::vector<bool> idle_;
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> abort_{false};
-  std::vector<std::exception_ptr> errors_;
-  // Per-node deterministic counters and handlers. A node is owned by
-  // exactly one partition, so each entry is touched by one thread only.
-  std::vector<std::uint64_t> send_idx_;
-  std::vector<std::uint64_t> emit_idx_;
-  std::vector<MsgHandler> handlers_;
-};
-
 void Context::emit(int node, std::uint64_t word) {
-  exec_->emit(*this, node, word);
+  if (!owned_by(exec_->topology(), node, part_)) {
+    throw std::logic_error(
+        "pdes: emit for a node this partition does not own");
+  }
+  Emission e;
+  e.at_ps = eng_->now().count_ps();
+  e.node = node;
+  e.idx = (*emit_idx_)[static_cast<std::size_t>(node)]++;
+  e.word = word;
+  emissions_.push_back(e);
 }
 
 void Context::on_message(int node, MsgHandler h) {
-  exec_->on_message(*this, node, std::move(h));
+  if (!owned_by(exec_->topology(), node, part_)) {
+    throw std::logic_error(
+        "pdes: on_message for a node this partition does not own");
+  }
+  // Registered during this partition's own setup, for its own node: the
+  // executor's contract for handlers installed mid-round.
+  exec_->set_handler(node, [this, h = std::move(h)](const WireMsg& m) {
+    ++messages_;
+    h(*this, m.dst_node, m.a);
+  });
 }
 
 void Context::send(int src_node, int dst_node, Time when,
                    std::uint64_t word) {
-  exec_->send(*this, src_node, dst_node, when, word);
+  const Topology& topo = exec_->topology();
+  if (src_node < 0 || src_node >= topo.nodes || dst_node < 0 ||
+      dst_node >= topo.nodes) {
+    throw std::logic_error("pdes: send with node out of range");
+  }
+  if (!owned_by(topo, src_node, part_)) {
+    throw std::logic_error(
+        "pdes: send from a node this partition does not own");
+  }
+  exec_->send(src_node, dst_node, when, word);
 }
 
 Result run(const Topology& topo, const Build& build,
            std::uint64_t event_limit) {
   topo.validate();
-  Executor exec(topo, event_limit);
-  return exec.run(build);
+  const auto k = static_cast<std::size_t>(topo.partitions);
+  // One engine and context per partition. Engine is cache-line aligned,
+  // so a slot never shares a line with its neighbours: owners write both
+  // on every event and delivery.
+  struct Slot {
+    Engine eng;
+    Context ctx;
+  };
+  std::vector<Slot> slots(k);
+  std::vector<Engine*> engines;
+  for (Slot& s : slots) {
+    s.eng.set_event_limit(event_limit);
+    engines.push_back(&s.eng);
+  }
+  // Per-node emission counters: a node is owned by exactly one
+  // partition, so each entry is touched by one thread only.
+  std::vector<std::uint64_t> emit_idx(static_cast<std::size_t>(topo.nodes),
+                                      0);
+  FabricExecutor exec(topo, engines);
+  for (std::size_t p = 0; p < k; ++p) {
+    Context& c = slots[p].ctx;
+    c.exec_ = &exec;
+    c.eng_ = &slots[p].eng;
+    c.part_ = static_cast<int>(p);
+    c.emit_idx_ = &emit_idx;
+  }
+  for (int n = 0; n < topo.nodes; ++n) {
+    slots[static_cast<std::size_t>(topo.part_of[static_cast<std::size_t>(n)])]
+        .ctx.owned_.push_back(n);
+  }
+
+  exec.run_round([&](int p) { build(slots[static_cast<std::size_t>(p)].ctx); });
+
+  const std::vector<FabricExecutor::PartStats> stats = exec.part_stats();
+  Result r;
+  std::size_t total = 0;
+  for (const Slot& s : slots) total += s.ctx.emissions_.size();
+  r.emissions.reserve(total);
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::vector<Emission>& em = slots[p].ctx.emissions_;
+    r.emissions.insert(r.emissions.end(), em.begin(), em.end());
+    r.end_ps = std::max(r.end_ps, slots[p].eng.now().count_ps());
+    // Batch carrier events are layout-dependent (same-instant messages
+    // split across destination partitions fuse differently), so they are
+    // excluded: `events` counts workload events only and is
+    // partition-invariant like every counter except delivery_batches.
+    r.events += stats[p].events - stats[p].batches;
+    r.messages += slots[p].ctx.messages_;
+    r.delivery_batches += stats[p].batches;
+  }
+  // The merge rule: (time, node, per-node index). Every component is
+  // partition-invariant, and (node, idx) pairs are unique, so this order
+  // is total and identical for every partition count.
+  std::sort(r.emissions.begin(), r.emissions.end(),
+            [](const Emission& a, const Emission& b) {
+              if (a.at_ps != b.at_ps) return a.at_ps < b.at_ps;
+              if (a.node != b.node) return a.node < b.node;
+              return a.idx < b.idx;
+            });
+  return r;
 }
 
 }  // namespace mns::sim::pdes

@@ -1,12 +1,17 @@
 // Conservative parallel discrete-event simulation (PDES) core.
 //
 // Partitions a node graph across worker threads, each partition owning a
-// private Engine (its own event heap and now-queue), with timestamped
-// cross-partition event channels and a barrier-free safe-time (LBTS)
-// computation. The contract mirrors SweepRunner's `--jobs` invariance,
-// but *inside* one run: observable results are bit-identical for any
-// partition count, including partitions == 1, which executes the same
-// code inline on the caller with no threads at all.
+// private Engine, with timestamped cross-partition messages and a
+// barrier-free safe-time (LBTS) computation. The contract mirrors
+// SweepRunner's `--jobs` invariance, but *inside* one run: observable
+// results are bit-identical for any partition count, including
+// partitions == 1, which executes inline on the caller with no threads
+// at all.
+//
+// run() is a one-round driver over FabricExecutor (fabric_exec.hpp), the
+// runtime cluster::Cluster's `--partitions` execution uses too; the
+// safe-time protocol, its seqlock and the termination argument are
+// documented once, in fabric_exec.cpp.
 //
 // # Model
 //
@@ -20,36 +25,6 @@
 // simulator already obeys (a packet cannot arrive before one wire
 // latency). That slack is exactly what lets a partition execute ahead
 // without waiting for its peers event-by-event.
-//
-// # Safe time (LBTS), barrier-free
-//
-// Every partition publishes (seq-cst atomics, no barrier, no null
-// messages) its `known` horizon: the timestamp of its earliest
-// unprocessed event, local or pending-delivery, INT64_MAX when drained.
-// Each channel additionally publishes the minimum timestamp buffered
-// in-flight inside it. Any future message anywhere must descend, through
-// chains of executions each adding >= 0 and a final send adding
-// >= lookahead, from one of those horizons, so
-//
-//   safe = min(all known, all in-flight minima) + lookahead
-//
-// is a lower bound on any delivery this partition can still receive, and
-// every event strictly before `safe` can run immediately.
-//
-// The scan is made atomic against evidence *removal* by a seqlock.
-// Evidence of one in-flight message moves between locations over its
-// life — sender horizon, channel minimum, receiver horizon, each new
-// location written before the old one is released — so a fixed-order
-// scan (in any order, however many passes) can be defeated by a
-// transfer chain that interleaves with it. Instead, the two writes that
-// remove evidence (raising a horizon at round end, resetting a drained
-// channel's minimum) serialize on a mutex and hold a generation counter
-// odd; a scan only accepts a minimum read entirely within one even,
-// unchanged generation — a window in which no evidence vanished, so
-// whatever evidence existed when the window opened was still in place
-// when each location was read. Evidence-adding writes (a send lowering
-// a channel minimum, a drain lowering the receiver's horizon) stay
-// lock-free: observing them early only makes `safe` more conservative.
 //
 // # Determinism (the merge rule)
 //
@@ -96,7 +71,7 @@ struct Topology {
   void validate() const;
 };
 
-class Executor;
+class FabricExecutor;
 
 /// One deterministic observable record: node `node`'s `idx`-th emission,
 /// stamped with the simulated time it was recorded.
@@ -143,6 +118,14 @@ class Context;
 using MsgHandler =
     std::function<void(Context&, int node, std::uint64_t word)>;
 
+/// Workload builder: invoked once per partition, on that partition's
+/// worker thread (inline on the caller for partitions == 1 — code must
+/// not depend on which; for K > 1 invocations run concurrently, so the
+/// callable must be safe to call from several threads at once). Spawns
+/// processes / schedules events / registers handlers for the partition's
+/// own nodes only.
+using Build = std::function<void(Context&)>;
+
 /// Per-partition handle passed to the workload builder. Lives for the
 /// whole run; all methods are owner-thread-only (the partition's worker).
 class Context {
@@ -168,20 +151,17 @@ class Context {
   void send(int src_node, int dst_node, Time when, std::uint64_t word);
 
  private:
-  friend class Executor;
-  Executor* exec_ = nullptr;
+  friend Result run(const Topology& topo, const Build& build,
+                    std::uint64_t event_limit);
+  FabricExecutor* exec_ = nullptr;
   Engine* eng_ = nullptr;
   int part_ = 0;
   std::vector<int> owned_;
+  // Owner-thread bookkeeping, merged by run() after the round.
+  std::vector<std::uint64_t>* emit_idx_ = nullptr;  // per node, shared
+  std::vector<Emission> emissions_;
+  std::uint64_t messages_ = 0;
 };
-
-/// Workload builder: invoked once per partition, on that partition's
-/// worker thread (inline on the caller for partitions == 1 — code must
-/// not depend on which; for K > 1 invocations run concurrently, so the
-/// callable must be safe to call from several threads at once). Spawns
-/// processes / schedules events / registers handlers for the partition's
-/// own nodes only.
-using Build = std::function<void(Context&)>;
 
 /// Run `build` over `topo` to completion and merge the observable
 /// streams. Throws the lowest-partition failure (process exceptions,
