@@ -3,6 +3,11 @@
 // Every binary prints one paper artifact: a header naming the figure or
 // table, then aligned columns (or CSV with --csv). Where the paper gives
 // a value, it is printed alongside ours.
+//
+// Every binary takes --csv and --jobs. The application harnesses run each
+// cell (a registry app on one cluster configuration) through run_cells
+// and also take the flags it applies: --seed, --faults, --partitions and
+// --max-sim-time. A binary exits 2 on any flag it does not honour.
 #pragma once
 
 #include <algorithm>
@@ -10,7 +15,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -20,6 +27,7 @@
 #include "cluster/cluster.hpp"
 #include "fault/fault.hpp"
 #include "microbench/microbench.hpp"
+#include "prof/recorder.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "util/bytes.hpp"
 #include "util/flags.hpp"
@@ -37,25 +45,15 @@ struct Output {
   // whole machine). Output is bit-identical for every N; see
   // sweep/sweep_runner.hpp.
   int jobs = 1;
-  // --seed N / --faults SPEC: deterministic chaos harness (src/fault).
-  // Published artifacts are generated without --faults; with it, packet
-  // drops/corruption, link flaps, NIC stalls and registration failures
-  // are injected and the per-fabric recovery protocols (and their MPI
-  // degradation paths) carry the run to completion. --seed reseeds the
-  // plan; the same (seed, spec, workload) always yields the same run.
-  std::uint64_t seed = 1;
-  fault::FaultPlan faults;  // empty unless --faults was given
-  // --partitions N: PDES partition count for in-run parallelism (see
-  // ClusterConfig::partitions and src/sim/pdes). 1 — the default for
-  // every published artifact — is the sequential engine, byte-identical
-  // to the seed outputs; N > 1 must produce the same bytes, and the
-  // chaos suite enforces it.
+  // The cell flags, read by parse_cell_output and applied by run_cells.
+  // --faults SPEC (reseeded by --seed N): deterministic chaos plan
+  // (src/fault); published artifacts run without one.
+  fault::FaultPlan faults;
+  // --partitions N: PDES partitions per cell (ClusterConfig::partitions);
+  // every N yields the bytes of the sequential default, 1.
   int partitions = 1;
-  // --max-sim-time US: progress guard. A run whose simulated clock would
-  // cross this horizon aborts with the watchdog's progress diagnostic on
-  // stderr and exit code 3 instead of spinning forever (armed chaos
-  // plans meeting misconfigured retry budgets can otherwise livelock).
-  // 0 (the default) means unlimited.
+  // --max-sim-time US: progress guard (ClusterConfig::max_sim_time);
+  // 0 = unlimited.
   sim::Time max_sim_time = sim::Time::zero();
   void emit(const std::string& title, const util::Table& t) const {
     if (csv) {
@@ -68,44 +66,47 @@ struct Output {
   }
 };
 
-/// Process-wide --max-sim-time horizon, set by parse_output and consumed
-/// by run_app so the guard covers every harness without threading one
-/// more parameter through thirty call sites. Zero = unlimited.
-inline sim::Time& guard_sim_time() {
-  static sim::Time t = sim::Time::zero();
-  return t;
-}
-
-inline Output parse_output(int argc, char** argv) {
+/// Parse --csv and --jobs, plus whatever `own` reads. CLI boundary: a
+/// malformed value, an unknown or unhonoured flag, or a positional
+/// argument prints one clear line and exits 2 — never an unhandled
+/// std::invalid_argument out of main.
+inline Output parse_output(
+    int argc, char** argv,
+    const std::function<void(const util::Flags&, Output&)>& own = {}) {
   Output out;
-  // CLI boundary: a malformed --seed/--faults/--jobs (or a typo'd flag)
-  // prints one clear line and exits 2 — never an unhandled
-  // std::invalid_argument out of main.
   const int rc = util::run_cli([&] {
     util::Flags flags(argc, argv);
+    if (!flags.positional().empty()) {
+      throw std::invalid_argument("unexpected argument '" +
+                                  flags.positional().front() + "'");
+    }
     out.csv = flags.get_bool("csv", false);
-    out.jobs = static_cast<int>(flags.get_int("jobs", 1));
-    out.partitions = static_cast<int>(flags.get_int("partitions", 1));
-    if (out.partitions < 1) {
-      throw std::invalid_argument("--partitions must be >= 1");
-    }
-    const bool seed_given = flags.has("seed");
-    out.seed = flags.get_uint("seed", 1);
-    out.max_sim_time =
-        sim::Time::us(static_cast<std::int64_t>(
-            flags.get_uint("max-sim-time", 0)));
-    const std::string spec = flags.get("faults", "");
-    if (!spec.empty()) {
-      out.faults = fault::FaultPlan::parse(spec);
-      // An explicit --seed overrides a seed: clause inside the spec.
-      if (seed_given) out.faults.set_seed(out.seed);
-    }
+    out.jobs = static_cast<int>(flags.get_uint("jobs", 1));
+    if (own) own(flags, out);
     flags.reject_unknown();
     return 0;
   });
   if (rc != 0) std::exit(rc);
-  guard_sim_time() = out.max_sim_time;
   return out;
+}
+
+/// parse_output plus the cell flags run_cells applies.
+inline Output parse_cell_output(int argc, char** argv) {
+  return parse_output(argc, argv, [](const util::Flags& flags, Output& out) {
+    out.partitions = static_cast<int>(flags.get_int("partitions", 1));
+    if (out.partitions < 1) {
+      throw std::invalid_argument("--partitions must be >= 1");
+    }
+    out.max_sim_time = sim::Time::us(
+        static_cast<std::int64_t>(flags.get_uint("max-sim-time", 0)));
+    const std::uint64_t seed = flags.get_uint("seed", 1);
+    const std::string spec = flags.get("faults", "");
+    if (!spec.empty()) {
+      out.faults = fault::FaultPlan::parse(spec);
+      // An explicit --seed overrides a seed: clause inside the spec.
+      if (flags.has("seed")) out.faults.set_seed(seed);
+    }
+  });
 }
 
 /// Evaluate fn(net) for the three paper nets, fanned over --jobs. Each
@@ -153,44 +154,85 @@ inline util::Table series_table(
                       precision);
 }
 
-/// Run one registry app at paper scale (skeleton mode) and return the
-/// simulated seconds (rank 0).
-inline double run_app(const std::string& name, cluster::Net net,
-                      std::size_t nodes, int ppn = 1,
-                      cluster::Bus bus = cluster::Bus::kDefault,
-                      const fault::FaultPlan& faults = {},
-                      int partitions = 1) {
-  // Scaling sweeps (tab02) run clusters smaller than a fixed
-  // --partitions request; clamp here so one flag value covers the whole
-  // sweep. The library itself stays strict (Cluster rejects
-  // partitions > nodes).
-  const int parts = std::min(partitions, static_cast<int>(nodes));
-  cluster::ClusterConfig cfg{
-      .nodes = nodes, .ppn = ppn, .net = net, .bus = bus,
-      .partitions = parts, .faults = faults,
-      .max_sim_time = guard_sim_time()};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  if (!spec.ranks_ok(c.ranks())) {
-    throw std::invalid_argument(name + " cannot run on " +
-                                std::to_string(c.ranks()) + " ranks");
-  }
-  apps::AppResult r0;
+/// One application cell: a registry app on one cluster configuration.
+struct Cell {
+  std::string app;
+  cluster::ClusterConfig cfg;
+};
+
+/// What the renderers read from one cell's run.
+struct CellResult {
+  double seconds = 0;       // rank 0's simulated application time
+  prof::RankStats totals;   // profiler counts summed over every rank
+  prof::RankStats busiest;  // the rank with the most MPI calls
+  std::uint64_t node0_mpi_bytes = 0;  // MPI memory footprint on node 0
+};
+
+/// The one harness path for an application cell. Runs every cell in
+/// class-B skeleton mode, profiled as the paper's MPICH logging did for
+/// Tables 1 and 3-6, fanned over --jobs with the cell flags applied, and
+/// returns the results in cell order. --partitions is clamped to each
+/// cell's node count so one value covers a scaling sweep (Cluster itself
+/// rejects partitions > nodes). A livelocked cell (--max-sim-time, or a
+/// fabric's retransmit watchdog) exits 3 after one diagnostic, the first
+/// failing cell's, whatever --jobs is.
+inline std::vector<CellResult> run_cells(const Output& out,
+                                         const std::vector<Cell>& cells) {
+  const auto run = [&](std::size_t i) {
+    const Cell& cell = cells[i];
+    cluster::ClusterConfig cfg = cell.cfg;
+    cfg.partitions = std::min(out.partitions, static_cast<int>(cfg.nodes));
+    cfg.faults = out.faults;
+    cfg.max_sim_time = out.max_sim_time;
+    cluster::Cluster c(cfg);
+    const auto& spec = apps::find_app(cell.app);
+    if (!spec.ranks_ok(c.ranks())) {
+      throw std::invalid_argument(cell.app + " cannot run on " +
+                                  std::to_string(c.ranks()) + " ranks");
+    }
+    CellResult r;
+    try {
+      c.run([&](mpi::Comm& comm) -> sim::Task<void> {
+        const auto res = co_await spec.run_full(comm, apps::Mode::kSkeleton);
+        if (comm.rank() == 0) r.seconds = res.app_seconds;
+      });
+    } catch (const sim::LivelockError& e) {
+      // Name the cell. SweepRunner rethrows the lowest-index failure on
+      // the caller once every worker has drained.
+      throw sim::LivelockError(cell.app + " on " + cluster::net_name(cfg.net) +
+                               ", " + std::to_string(cfg.nodes) +
+                               " nodes:\n" + e.report());
+    }
+    const prof::Recorder& rec = c.recorder();
+    r.totals = rec.totals();
+    r.busiest = rec.rank(0);
+    for (int k = 1; k < c.ranks(); ++k) {
+      if (rec.rank(k).mpi_calls > r.busiest.mpi_calls) r.busiest = rec.rank(k);
+    }
+    r.node0_mpi_bytes = c.device_memory_bytes(0);
+    return r;
+  };
+  std::string diagnostic;
   try {
-    c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-      auto r = co_await spec.run_full(comm, apps::Mode::kSkeleton);
-      if (comm.rank() == 0) r0 = r;
-    });
+    return sweep::SweepRunner(out.jobs).run_indexed(cells.size(), run);
   } catch (const sim::LivelockError& e) {
-    // --max-sim-time guard: surface the progress diagnostic and exit
-    // cleanly with a distinct code rather than letting the exception
-    // unwind through a sweep worker.
-    std::cerr << "--max-sim-time exceeded in " << name << " on "
-              << cluster::net_name(net) << ":\n"
-              << e.report() << '\n';
-    std::exit(3);
+    diagnostic = e.report();
   }
-  return r0.app_seconds;
+  std::cerr << "error: simulation livelock in " << diagnostic << '\n';
+  std::exit(3);
+}
+
+/// The paper's profiled runs (Tables 1 and 3-6): each row's app on
+/// InfiniBand at the row's node count, `ppn` processes per node.
+template <class Rows>
+std::vector<CellResult> run_profiled(const Output& out, const Rows& rows,
+                                     int ppn = 1) {
+  std::vector<Cell> cells;
+  for (const auto& r : rows) {
+    cells.push_back({r.app, {.nodes = r.nodes, .ppn = ppn,
+                             .net = cluster::Net::kInfiniBand}});
+  }
+  return run_cells(out, cells);
 }
 
 }  // namespace mns::bench

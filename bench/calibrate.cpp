@@ -25,7 +25,12 @@ void row(const char* what, double paper, double ours) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "error: calibrate takes no arguments, got '%s'\n",
+                 argv[1]);
+    return 2;
+  }
   std::printf("%-46s %9s %9s %9s\n", "metric", "paper", "ours", "delta");
 
   const std::vector<std::uint64_t> small{4};

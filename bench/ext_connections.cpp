@@ -7,33 +7,31 @@
 using namespace mns;
 using namespace mns::bench;
 
-namespace {
-
-double footprint_mb(std::size_t nodes, bool on_demand, const char* app) {
-  cluster::ClusterConfig cfg{.nodes = nodes,
-                             .net = cluster::Net::kInfiniBand};
-  cfg.tweak_ib = [on_demand](ib::IbConfig& c) {
-    c.on_demand_connections = on_demand;
-  };
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(app);
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await spec.run_full(comm, apps::Mode::kSkeleton);
-  });
-  return static_cast<double>(c.device_memory_bytes(0)) / (1 << 20);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const Output out = parse_output(argc, argv);
+  const Output out = parse_cell_output(argc, argv);
   util::Table t({"nodes", "static_MB", "ondemand_ft_MB", "ondemand_lu_MB"});
+  struct Col { const char* app; bool on_demand; };
+  const Col cols[] = {{"ft", false}, {"ft", true}, {"lu", true}};
+  std::vector<Cell> cells;  // per node count: the three columns
   for (std::size_t nodes : {4, 8, 16}) {
+    for (const Col& col : cols) {
+      Cell cell{col.app, {.nodes = nodes, .net = cluster::Net::kInfiniBand}};
+      cell.cfg.tweak_ib = [on_demand = col.on_demand](ib::IbConfig& c) {
+        c.on_demand_connections = on_demand;
+      };
+      cells.push_back(std::move(cell));
+    }
+  }
+  const auto res = run_cells(out, cells);
+  const auto mb = [&](std::size_t i) {
+    return static_cast<double>(res[i].node0_mpi_bytes) / (1 << 20);
+  };
+  for (std::size_t i = 0; i < cells.size(); i += 3) {
     t.row()
-        .add(static_cast<std::uint64_t>(nodes))
-        .add(footprint_mb(nodes, false, "ft"), 1)
-        .add(footprint_mb(nodes, true, "ft"), 1)
-        .add(footprint_mb(nodes, true, "lu"), 1);
+        .add(static_cast<std::uint64_t>(cells[i].cfg.nodes))
+        .add(mb(i), 1)
+        .add(mb(i + 1), 1)
+        .add(mb(i + 2), 1);
   }
   out.emit("Extension: InfiniBand MPI memory footprint, static vs "
            "on-demand RC connections (Fig. 13's growth disappears for "

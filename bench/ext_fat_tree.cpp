@@ -11,47 +11,38 @@
 using namespace mns;
 using namespace mns::bench;
 
-namespace {
-
-double app_secs(const char* app, std::size_t nodes, std::size_t radix) {
-  cluster::ClusterConfig cfg{.nodes = nodes,
-                             .net = cluster::Net::kInfiniBand};
-  cfg.tweak_ib = [radix](ib::IbConfig& c) {
-    c.switch_cfg.fat_tree_radix = radix;
-  };
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(app);
-  apps::AppResult r0;
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    auto r = co_await spec.run_full(comm, apps::Mode::kSkeleton);
-    if (comm.rank() == 0) r0 = r;
-  });
-  return r0.app_seconds;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bool big = flags.get_bool("big", false);
-  Output out;
-  out.csv = flags.get_bool("csv", false);
-  flags.reject_unknown();
+  bool big = false;
+  const Output out = parse_output(argc, argv,
+                                  [&](const util::Flags& flags, Output&) {
+                                    big = flags.get_bool("big", false);
+                                  });
   util::Table t({"app", "nodes", "crossbar_s", "fattree8_s", "penalty_pct"});
   const std::vector<std::size_t> node_counts =
       big ? std::vector<std::size_t>{32, 64} : std::vector<std::size_t>{32};
   // 32 nodes keeps the sweep fast; pass --big for 64-node projections.
+  std::vector<Cell> cells;  // per (app, nodes): crossbar, then fat tree
   for (const char* app : {"is", "ft", "mg", "lu"}) {
     for (std::size_t nodes : node_counts) {
-      const double flat = app_secs(app, nodes, 0);
-      const double tree = app_secs(app, nodes, 8);
-      t.row()
-          .add(std::string(app))
-          .add(static_cast<std::uint64_t>(nodes))
-          .add(flat, 2)
-          .add(tree, 2)
-          .add((tree - flat) / flat * 100.0, 1);
+      for (std::size_t radix : {0, 8}) {
+        Cell cell{app, {.nodes = nodes, .net = cluster::Net::kInfiniBand}};
+        cell.cfg.tweak_ib = [radix](ib::IbConfig& c) {
+          c.switch_cfg.fat_tree_radix = radix;
+        };
+        cells.push_back(std::move(cell));
+      }
     }
+  }
+  const auto res = run_cells(out, cells);
+  for (std::size_t i = 0; i < cells.size(); i += 2) {
+    const double flat = res[i].seconds;
+    const double tree = res[i + 1].seconds;
+    t.row()
+        .add(cells[i].app)
+        .add(static_cast<std::uint64_t>(cells[i].cfg.nodes))
+        .add(flat, 2)
+        .add(tree, 2)
+        .add((tree - flat) / flat * 100.0, 1);
   }
   out.emit("Extension: class-B InfiniBand beyond one switch — ideal "
            "crossbar vs 2-level fat tree (leaf radix 8)",

@@ -7,28 +7,34 @@ using namespace mns;
 using namespace mns::bench;
 
 int main(int argc, char** argv) {
-  const Output out = parse_output(argc, argv);
+  const Output out = parse_cell_output(argc, argv);
   util::Table t({"app", "nodes", "PCIX_s", "PCI_s", "degrade_pct", "Myri_s",
                  "QSN_s"});
   struct Row { const char* app; std::size_t nodes; };
+  using cluster::Bus;
+  using cluster::Net;
+  std::vector<Cell> cells;  // per row: IBA PCI-X, IBA PCI, Myri, QSN
   for (Row r : {Row{"is", 8}, Row{"cg", 8}, Row{"mg", 8}, Row{"lu", 8},
                 Row{"ft", 8}, Row{"sp", 4}, Row{"bt", 4}}) {
-    const double x =
-        run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPcix133, {}, out.partitions);
-    const double p =
-        run_app(r.app, cluster::Net::kInfiniBand, r.nodes, 1,
-                cluster::Bus::kPci66, {}, out.partitions);
+    cells.push_back({r.app, {.nodes = r.nodes, .net = Net::kInfiniBand,
+                             .bus = Bus::kPcix133}});
+    cells.push_back({r.app, {.nodes = r.nodes, .net = Net::kInfiniBand,
+                             .bus = Bus::kPci66}});
+    cells.push_back({r.app, {.nodes = r.nodes, .net = Net::kMyrinet}});
+    cells.push_back({r.app, {.nodes = r.nodes, .net = Net::kQuadrics}});
+  }
+  const auto res = run_cells(out, cells);
+  for (std::size_t i = 0; i < cells.size(); i += 4) {
+    const double x = res[i].seconds;
+    const double p = res[i + 1].seconds;
     t.row()
-        .add(std::string(r.app))
-        .add(static_cast<std::uint64_t>(r.nodes))
+        .add(cells[i].app)
+        .add(static_cast<std::uint64_t>(cells[i].cfg.nodes))
         .add(x, 2)
         .add(p, 2)
         .add((p - x) / x * 100.0, 1)
-        .add(run_app(r.app, cluster::Net::kMyrinet, r.nodes, 1,
-                     cluster::Bus::kDefault, {}, out.partitions), 2)
-        .add(run_app(r.app, cluster::Net::kQuadrics, r.nodes, 1,
-                     cluster::Bus::kDefault, {}, out.partitions), 2);
+        .add(res[i + 2].seconds, 2)
+        .add(res[i + 3].seconds, 2);
   }
   out.emit("Fig 28: IBA class B, PCI vs PCI-X (seconds) | paper: average "
            "degradation <5%; IS/FT/CG on PCI still match or beat "

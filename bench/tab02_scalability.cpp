@@ -7,7 +7,7 @@ using namespace mns;
 using namespace mns::bench;
 
 int main(int argc, char** argv) {
-  const Output out = parse_output(argc, argv);
+  const Output out = parse_cell_output(argc, argv);
   struct Paper { const char* app; double v[9]; };
   // paper values: IBA{2,4,8}, Myri{2,4,8}, QSN{2,4,8}; -1 = not run.
   const Paper paper[] = {
@@ -21,29 +21,29 @@ int main(int argc, char** argv) {
   };
   util::Table t({"app", "net", "n2_s", "n4_s", "n8_s", "paper_n2",
                  "paper_n4", "paper_n8"});
-  // One sweep point per (app, net, nodes) cell; -1 cells never simulate.
-  const std::size_t napps = std::size(paper);
-  const auto secs = sweep_indexed(out, napps * 9, [&](std::size_t i) {
-    const auto& row = paper[i / 9];
-    const std::size_t col = (i % 9) / 3;
-    const std::size_t k = i % 3;
-    if (row.v[col * 3 + k] < 0) return -1.0;  // FT does not fit on 2 nodes
-    return run_app(row.app, kAllNets[col], std::size_t{2} << k, 1,
-                   cluster::Bus::kDefault, {}, out.partitions);
-  });
-  for (std::size_t a = 0; a < napps; ++a) {
-    const auto& row = paper[a];
+  // One cell per (app, net, nodes) with a paper value; -1 cells never
+  // simulate (FT does not fit on 2 nodes).
+  std::vector<Cell> cells;
+  for (const auto& row : paper) {
     for (std::size_t col = 0; col < 3; ++col) {
-      const std::size_t base = a * 9 + col * 3;
-      t.row()
-          .add(std::string(row.app))
-          .add(std::string(cluster::net_name(kAllNets[col])))
-          .add(secs[base + 0], 2)
-          .add(secs[base + 1], 2)
-          .add(secs[base + 2], 2)
-          .add(row.v[col * 3 + 0], 2)
-          .add(row.v[col * 3 + 1], 2)
-          .add(row.v[col * 3 + 2], 2);
+      for (std::size_t k = 0; k < 3; ++k) {
+        if (row.v[col * 3 + k] < 0) continue;
+        cells.push_back(
+            {row.app, {.nodes = std::size_t{2} << k, .net = kAllNets[col]}});
+      }
+    }
+  }
+  const auto res = run_cells(out, cells);
+  std::size_t next = 0;
+  for (const auto& row : paper) {
+    for (std::size_t col = 0; col < 3; ++col) {
+      auto& tr = t.row()
+                     .add(std::string(row.app))
+                     .add(std::string(cluster::net_name(kAllNets[col])));
+      for (std::size_t k = 0; k < 3; ++k) {
+        tr.add(row.v[col * 3 + k] < 0 ? -1.0 : res[next++].seconds, 2);
+      }
+      for (std::size_t k = 0; k < 3; ++k) tr.add(row.v[col * 3 + k], 2);
     }
   }
   out.emit("Table 2: class-B execution time vs system size (seconds; "

@@ -1,51 +1,12 @@
 #include "bench_common.hpp"
-#include "prof/recorder.hpp"
 
 using namespace mns;
 using namespace mns::bench;
 
-namespace {
-
-struct ProfiledRun {
-  prof::RankStats totals;
-  std::vector<prof::RankStats> per_rank;
-};
-
-/// Run one paper-scale app and capture the profiler output — the same way
-/// the paper produced Tables 1 and 3-6 via the MPICH logging interface.
-ProfiledRun profile_app(const std::string& name, std::size_t nodes,
-                        int ppn = 1) {
-  cluster::ClusterConfig cfg{
-      .nodes = nodes, .ppn = ppn, .net = cluster::Net::kInfiniBand};
-  cluster::Cluster c(cfg);
-  const auto& spec = apps::find_app(name);
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await spec.run_full(comm, apps::Mode::kSkeleton);
-  });
-  ProfiledRun out;
-  out.totals = c.recorder().totals();
-  for (int r = 0; r < c.ranks(); ++r) {
-    out.per_rank.push_back(c.recorder().rank(r));
-  }
-  return out;
-}
-
-/// The paper's tables report a representative (busiest) rank.
-const prof::RankStats& busiest(const ProfiledRun& run) {
-  const prof::RankStats* best = &run.per_rank[0];
-  for (const auto& st : run.per_rank) {
-    if (st.mpi_calls > best->mpi_calls) best = &st;
-  }
-  return *best;
-}
-
-}  // namespace
-
 // Paper Table 6: intra-node point-to-point share with block mapping,
-// 16 processes on 8 nodes (SP/BT: 16 on 8 would need square; the paper
-// ran them too — we use 4 nodes x 2).
+// 16 processes on 8 nodes (a square rank count, so SP/BT run too).
 int main(int argc, char** argv) {
-  const Output out = parse_output(argc, argv);
+  const Output out = parse_cell_output(argc, argv);
   util::Table t({"app", "intra_calls", "pct_calls", "pct_volume",
                  "paper_pct_calls", "paper_pct_vol"});
   struct Row { const char* app; std::size_t nodes; double p[2]; };
@@ -56,9 +17,10 @@ int main(int argc, char** argv) {
       {"bt", 8, {16.31, 16.21}},    {"s3d50", 8, {33.29, 33.11}},
       {"s3d150", 8, {33.32, 33.47}},
   };
-  for (const auto& r : rows) {
-    const auto run = profile_app(r.app, r.nodes, /*ppn=*/2);
-    const auto& st = run.totals;
+  const auto res = run_profiled(out, rows, /*ppn=*/2);
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& r = rows[i];
+    const auto& st = res[i].totals;
     const double pct_calls =
         st.ptp_calls ? 100.0 * static_cast<double>(st.intra_calls) /
                            static_cast<double>(st.ptp_calls)

@@ -178,13 +178,13 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     case Net::kInfiniBand: {
       ib_ = std::make_unique<ib::IbFabric>(*engines_.front(), node_ptrs,
                                            ib_cfg, fpp);
-      mpi_->set_device(mpi::make_ch_ib(*mpi_, *ib_, rdv_cc));
+      mpi_->set_device(mpi::make_ch_rdv(*mpi_, *ib_, rdv_cc));
       break;
     }
     case Net::kMyrinet: {
       gm_ = std::make_unique<gm::GmFabric>(*engines_.front(), node_ptrs,
                                            gm_cfg, fpp);
-      mpi_->set_device(mpi::make_ch_gm(*mpi_, *gm_, rdv_cc));
+      mpi_->set_device(mpi::make_ch_rdv(*mpi_, *gm_, rdv_cc));
       break;
     }
     case Net::kQuadrics: {

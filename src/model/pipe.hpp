@@ -68,13 +68,6 @@ class Pipe {
     return take_slot(lead, bytes) + fixed_cost_;
   }
 
-  /// The serialization time alone for `bytes` (no queueing, no fixed cost).
-  sim::Time serialization_time(std::uint64_t bytes) const {
-    return sim::transfer_time(bytes, rate_);
-  }
-
-  /// Earliest time a new transfer could start.
-  sim::Time free_at() const { return busy_until_; }
   bool idle() const { return busy_until_ <= eng_->now(); }
 
   double rate() const { return rate_; }

@@ -22,10 +22,19 @@ RdvChannelConfig default_ch_ib_config();
 /// above; shared memory for all intra-node sizes.
 RdvChannelConfig default_ch_gm_config();
 
-std::unique_ptr<Device> make_ch_ib(Mpi& mpi, ib::IbFabric& fabric,
-                                   const RdvChannelConfig& cfg);
-std::unique_ptr<Device> make_ch_gm(Mpi& mpi, gm::GmFabric& fabric,
-                                   const RdvChannelConfig& cfg);
+/// The rendezvous device (ch_ib or ch_gm, per `cfg`) over a fabric with
+/// per-node pin-down caches: ib::IbFabric or gm::GmFabric.
+template <class Fabric>
+std::unique_ptr<Device> make_ch_rdv(Mpi& mpi, Fabric& fabric,
+                                    const RdvChannelConfig& cfg) {
+  return std::make_unique<RdvChannel>(
+      mpi, fabric, cfg,
+      [&fabric](int node) -> model::RegistrationCache& {
+        return fabric.regcache(node);
+      },
+      [&fabric](int node) { return fabric.memory_bytes(node); });
+}
+
 std::unique_ptr<Device> make_ch_elan(Mpi& mpi, elan::ElanFabric& fabric,
                                      const ElanChannelConfig& cfg);
 

@@ -290,24 +290,21 @@ void RdvChannel::on_eager_arrival(Buffered* b) {
 sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
   auto& sp = mpi_->proc(op.env.src);
   const int snode = mpi_->node_of(op.env.src);
-  if (cfg_.use_regcache) {
-    const auto reg = regcache_(snode).try_acquire(op.buf.addr(),
-                                                  op.env.bytes);
-    if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
-    if (!reg.ok) {
-      if (!op.synchronous) {
-        // Pin-down failed: degrade to the copy-in eager path, which only
-        // needs the pre-registered staging buffers. Slower (extra copy),
-        // but the send makes progress.
-        co_await send_eager(std::move(op));
-        co_return;
-      }
-      // MPI_Ssend must keep the rendezvous handshake — model the driver
-      // retrying the (transient) registration failure.
-      const sim::Time retry =
-          regcache_(snode).acquire(op.buf.addr(), op.env.bytes);
-      if (retry > sim::Time::zero()) co_await sp.cpu().busy(retry);
+  const auto reg = regcache_(snode).try_acquire(op.buf.addr(), op.env.bytes);
+  if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
+  if (!reg.ok) {
+    if (!op.synchronous) {
+      // Pin-down failed: degrade to the copy-in eager path, which only
+      // needs the pre-registered staging buffers. Slower (extra copy),
+      // but the send makes progress.
+      co_await send_eager(std::move(op));
+      co_return;
     }
+    // MPI_Ssend must keep the rendezvous handshake — model a retry of
+    // the (transient) registration failure.
+    const sim::Time retry =
+        regcache_(snode).acquire(op.buf.addr(), op.env.bytes);
+    if (retry > sim::Time::zero()) co_await sp.cpu().busy(retry);
   }
 
   Rdv* r = rdv_.acquire(snode, mpi_->node_of(op.env.dst), 1);
@@ -351,15 +348,13 @@ void RdvChannel::match_rts(Rdv* r) {
 sim::Time RdvChannel::cts_cost(Rdv* r) {
   const int dnode = mpi_->node_of(r->send.env.dst);
   sim::Time cost = cfg_.o_ctrl;
-  if (cfg_.use_regcache) {
-    const auto reg =
-        regcache_(dnode).try_acquire(r->recv.buf.addr(), r->send.env.bytes);
-    cost += reg.cost;
-    // The receive buffer must be pinned before the CTS can advertise it;
-    // retry a transient failure.
-    if (!reg.ok) {
-      cost += regcache_(dnode).acquire(r->recv.buf.addr(), r->send.env.bytes);
-    }
+  const auto reg =
+      regcache_(dnode).try_acquire(r->recv.buf.addr(), r->send.env.bytes);
+  cost += reg.cost;
+  // The receive buffer must be pinned before the CTS can advertise it;
+  // retry a transient failure.
+  if (!reg.ok) {
+    cost += regcache_(dnode).acquire(r->recv.buf.addr(), r->send.env.bytes);
   }
   return cost;
 }

@@ -50,7 +50,6 @@ struct RdvChannelConfig {
   /// handlers, i.e. never defer them while the host computes.
   bool nic_progress = false;
   std::uint64_t ctrl_bytes;       // RTS/CTS/header wire size
-  bool use_regcache;              // registration required (IB and GM: yes)
   /// Extension (the paper's Section 3.7 direction, after Kini et al.):
   /// barrier/broadcast over InfiniBand hardware multicast instead of
   /// point-to-point trees. Needs a reliability envelope on top of the

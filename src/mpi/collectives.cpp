@@ -25,7 +25,7 @@ std::uint64_t scratch_addr(Rank r, int which) {
 }  // namespace
 
 sim::Task<void> Comm::barrier_impl() {
-  mpi_->recorder().on_collective(rank_, "Barrier", 0, 0);
+  mpi_->recorder().on_collective(rank_, 0, 0);
   const std::uint64_t seq = coll_seq_;
   const Tag tag = next_coll_tag();
   const int p = size();
@@ -59,8 +59,8 @@ sim::Task<void> Comm::barrier_impl() {
     const Rank src = (rank_ - k + p) % p;
     View sv = View::synth(scratch_addr(rank_, 1), 4);
     View rv = View::synth(scratch_addr(rank_, 2), 4);
-    Request rreq = co_await irecv_impl(rv, src, tag, false);
-    Request sreq = co_await isend_impl(sv, dst, tag, false);
+    Request rreq = co_await irecv_impl(rv, src, tag);
+    Request sreq = co_await isend_impl(sv, dst, tag);
     const Status sst = co_await wait(sreq);
     const Status rst = co_await wait(rreq);
     if (sst.error != kErrNone || rst.error != kErrNone) err = kErrFabric;
@@ -76,7 +76,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
   while (mask < p) {
     if (rel & mask) {
       const Rank src = (rel - mask + root) % p;
-      Request r = co_await irecv_impl(buf, src, tag, false);
+      Request r = co_await irecv_impl(buf, src, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
       break;
@@ -87,7 +87,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
   while (mask > 0) {
     if (rel + mask < p) {
       const Rank dst = (rel + mask + root) % p;
-      Request r = co_await isend_impl(buf, dst, tag, false);
+      Request r = co_await isend_impl(buf, dst, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
@@ -98,7 +98,7 @@ sim::Task<int> Comm::bcast_p2p(View buf, Rank root, Tag tag) {
 
 sim::Task<void> Comm::bcast_impl(View buf, Rank root) {
   buf = mpi_->canon(rank_, buf);
-  mpi_->recorder().on_collective(rank_, "Bcast", buf.bytes(), buf.addr());
+  mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const std::uint64_t seq = coll_seq_;
   const Tag tag = next_coll_tag();
   if (size() == 1) {
@@ -145,14 +145,14 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
       const int src_rel = rel | mask;
       if (src_rel < p) {
         const Rank src = (src_rel + root) % p;
-        Request r = co_await irecv_impl(tmp, src, tag, false);
+        Request r = co_await irecv_impl(tmp, src, tag);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
         reduce_payload(tmp, buf, count, dtype, op);
       }
     } else {
       const Rank dst = ((rel & ~mask) + root) % p;
-      Request r = co_await isend_impl(buf, dst, tag, false);
+      Request r = co_await isend_impl(buf, dst, tag);
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
       break;
@@ -165,7 +165,7 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
 sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
                              ROp op, Rank root) {
   buf = mpi_->canon(rank_, buf);
-  mpi_->recorder().on_collective(rank_, "Reduce", buf.bytes(), buf.addr());
+  mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
   if (size() == 1) {
     last_error_ = kErrNone;
@@ -178,8 +178,7 @@ sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
 sim::Task<void> Comm::allreduce_impl(View buf, std::size_t count, Dtype dtype,
                                 ROp op) {
   buf = mpi_->canon(rank_, buf);
-  mpi_->recorder().on_collective(rank_, "Allreduce", buf.bytes(),
-                                 buf.addr());
+  mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const std::uint64_t seq = coll_seq_;
   const Tag tag = next_coll_tag();
   if (size() == 1) {
@@ -235,8 +234,7 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
                                std::uint64_t per_rank) {
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvbuf = mpi_->canon(rank_, recvbuf);
-  mpi_->recorder().on_collective(rank_, "Alltoall", sendbuf.bytes(),
-                                 sendbuf.addr());
+  mpi_->recorder().on_collective(rank_, sendbuf.bytes(), sendbuf.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
 
@@ -255,13 +253,13 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
     const Rank src = (rank_ - i + p) % p;
     reqs.push_back(co_await irecv_impl(
         slice(recvbuf, static_cast<std::uint64_t>(src) * per_rank, per_rank),
-        src, tag, false));
+        src, tag));
   }
   for (int i = 1; i < p; ++i) {
     const Rank dst = (rank_ + i) % p;
     reqs.push_back(co_await isend_impl(
         slice(sendbuf, static_cast<std::uint64_t>(dst) * per_rank, per_rank),
-        dst, tag, false));
+        dst, tag));
   }
   int err = kErrNone;
   for (auto& r : reqs) {
@@ -276,8 +274,7 @@ sim::Task<void> Comm::alltoallv_impl(
     View recvbuf, const std::vector<std::uint64_t>& recv_counts) {
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvbuf = mpi_->canon(rank_, recvbuf);
-  mpi_->recorder().on_collective(rank_, "Alltoallv", sendbuf.bytes(),
-                                 sendbuf.addr());
+  mpi_->recorder().on_collective(rank_, sendbuf.bytes(), sendbuf.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   if (send_counts.size() != static_cast<std::size_t>(p) ||
@@ -301,14 +298,14 @@ sim::Task<void> Comm::alltoallv_impl(
     if (recv_counts[static_cast<std::size_t>(src)] == 0) continue;
     reqs.push_back(co_await irecv_impl(
         slice(recvbuf, roff[src], recv_counts[static_cast<std::size_t>(src)]),
-        src, tag, false));
+        src, tag));
   }
   for (int i = 1; i < p; ++i) {
     const Rank dst = (rank_ + i) % p;
     if (send_counts[static_cast<std::size_t>(dst)] == 0) continue;
     reqs.push_back(co_await isend_impl(
         slice(sendbuf, soff[dst], send_counts[static_cast<std::size_t>(dst)]),
-        dst, tag, false));
+        dst, tag));
   }
   int err = kErrNone;
   for (auto& r : reqs) {
@@ -322,8 +319,7 @@ sim::Task<void> Comm::allgather_impl(View sendpart, View recvbuf,
                                 std::uint64_t per_rank) {
   sendpart = mpi_->canon(rank_, sendpart);
   recvbuf = mpi_->canon(rank_, recvbuf);
-  mpi_->recorder().on_collective(rank_, "Allgather", sendpart.bytes(),
-                                 sendpart.addr());
+  mpi_->recorder().on_collective(rank_, sendpart.bytes(), sendpart.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
 
@@ -354,8 +350,7 @@ sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
                              std::uint64_t per_rank, Rank root) {
   sendpart = mpi_->canon(rank_, sendpart);
   recvbuf = mpi_->canon(rank_, recvbuf);
-  mpi_->recorder().on_collective(rank_, "Gather", sendpart.bytes(),
-                                 sendpart.addr());
+  mpi_->recorder().on_collective(rank_, sendpart.bytes(), sendpart.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   int err = kErrNone;
@@ -369,14 +364,14 @@ sim::Task<void> Comm::gather_impl(View sendpart, View recvbuf,
       if (r == root) continue;
       reqs.push_back(co_await irecv_impl(
           slice(recvbuf, static_cast<std::uint64_t>(r) * per_rank, per_rank),
-          r, tag, false));
+          r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await isend_impl(sendpart, root, tag, false);
+    Request r = co_await isend_impl(sendpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -387,8 +382,7 @@ sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
                               std::uint64_t per_rank, Rank root) {
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvpart = mpi_->canon(rank_, recvpart);
-  mpi_->recorder().on_collective(rank_, "Scatter", recvpart.bytes(),
-                                 recvpart.addr());
+  mpi_->recorder().on_collective(rank_, recvpart.bytes(), recvpart.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   int err = kErrNone;
@@ -401,14 +395,14 @@ sim::Task<void> Comm::scatter_impl(View sendbuf, View recvpart,
       if (r == root) continue;
       reqs.push_back(co_await isend_impl(
           slice(sendbuf, static_cast<std::uint64_t>(r) * per_rank, per_rank),
-          r, tag, false));
+          r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await irecv_impl(recvpart, root, tag, false);
+    Request r = co_await irecv_impl(recvpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -420,8 +414,7 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
                                            Dtype dtype, ROp op, View out) {
   buf = mpi_->canon(rank_, buf);
   out = mpi_->canon(rank_, out);
-  mpi_->recorder().on_collective(rank_, "Reduce_scatter", buf.bytes(),
-                                 buf.addr());
+  mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   const std::uint64_t per_bytes = count_per_rank * dtype_size(dtype);
@@ -435,14 +428,14 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
     for (int r = 1; r < p; ++r) {
       reqs.push_back(co_await isend_impl(
           slice(buf, static_cast<std::uint64_t>(r) * per_bytes, per_bytes),
-          r, tag + 1, false));
+          r, tag + 1));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else {
-    Request r = co_await irecv_impl(out, 0, tag + 1, false);
+    Request r = co_await irecv_impl(out, 0, tag + 1);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -452,7 +445,7 @@ sim::Task<void> Comm::reduce_scatter_block_impl(View buf,
 sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
                            ROp op) {
   buf = mpi_->canon(rank_, buf);
-  mpi_->recorder().on_collective(rank_, "Scan", buf.bytes(), buf.addr());
+  mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   if (p == 1) {
@@ -472,13 +465,13 @@ sim::Task<void> Comm::scan_impl(View buf, std::size_t count, Dtype dtype,
     tmp = View::out(tmp_store.data(), buf.bytes());
   }
   if (rank_ > 0) {
-    Request r = co_await irecv_impl(tmp, rank_ - 1, tag, false);
+    Request r = co_await irecv_impl(tmp, rank_ - 1, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
     reduce_payload(tmp, buf, count, dtype, op);
   }
   if (rank_ + 1 < p) {
-    Request r = co_await isend_impl(buf, rank_ + 1, tag, false);
+    Request r = co_await isend_impl(buf, rank_ + 1, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -490,8 +483,7 @@ sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
                               Rank root) {
   sendpart = mpi_->canon(rank_, sendpart);
   recvbuf = mpi_->canon(rank_, recvbuf);
-  mpi_->recorder().on_collective(rank_, "Gatherv", sendpart.bytes(),
-                                 sendpart.addr());
+  mpi_->recorder().on_collective(rank_, sendpart.bytes(), sendpart.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   if (counts.size() != static_cast<std::size_t>(p)) {
@@ -507,14 +499,14 @@ sim::Task<void> Comm::gatherv_impl(View sendpart, View recvbuf,
     for (int r = 0; r < p; ++r) {
       if (r == root || counts[r] == 0) continue;
       reqs.push_back(co_await irecv_impl(
-          slice(recvbuf, off[r], counts[r]), r, tag, false));
+          slice(recvbuf, off[r], counts[r]), r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else if (counts[static_cast<std::size_t>(rank_)] > 0) {
-    Request r = co_await isend_impl(sendpart, root, tag, false);
+    Request r = co_await isend_impl(sendpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -526,8 +518,7 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
                                View recvpart, Rank root) {
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvpart = mpi_->canon(rank_, recvpart);
-  mpi_->recorder().on_collective(rank_, "Scatterv", recvpart.bytes(),
-                                 recvpart.addr());
+  mpi_->recorder().on_collective(rank_, recvpart.bytes(), recvpart.addr());
   const Tag tag = next_coll_tag();
   const int p = size();
   if (counts.size() != static_cast<std::size_t>(p)) {
@@ -543,14 +534,14 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
     for (int r = 0; r < p; ++r) {
       if (r == root || counts[r] == 0) continue;
       reqs.push_back(co_await isend_impl(
-          slice(sendbuf, off[r], counts[r]), r, tag, false));
+          slice(sendbuf, off[r], counts[r]), r, tag));
     }
     for (auto& r : reqs) {
       const Status st = co_await wait(r);
       if (st.error != kErrNone) err = kErrFabric;
     }
   } else if (counts[static_cast<std::size_t>(rank_)] > 0) {
-    Request r = co_await irecv_impl(recvpart, root, tag, false);
+    Request r = co_await irecv_impl(recvpart, root, tag);
     const Status st = co_await wait(r);
     if (st.error != kErrNone) err = kErrFabric;
   }
@@ -559,8 +550,8 @@ sim::Task<void> Comm::scatterv_impl(View sendbuf,
 
 sim::Task<Status> Comm::sendrecv_internal(View sendbuf, Rank dst, Tag stag,
                                           View recvbuf, Rank src, Tag rtag) {
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag, false);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag, false);
+  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
+  Request sreq = co_await isend_impl(sendbuf, dst, stag);
   const Status sst = co_await wait(sreq);
   Status rst = co_await wait(rreq);
   // The exchange is one logical operation: a failed send leg errors the
@@ -590,7 +581,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const int src = rank_ | mask;
         if (src < p) {
           View rv = View::synth(scratch_addr(rank_, 7), 2);
-          Request r = co_await irecv_impl(rv, src, t, false);
+          Request r = co_await irecv_impl(rv, src, t);
           const Status st = co_await wait(r);
           if (st.error != kErrNone || st.bytes > 1) err = kErrFabric;
         }
@@ -598,7 +589,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const Rank dst = rank_ & ~mask;
         View sv =
             View::synth(scratch_addr(rank_, 8), err == kErrNone ? 1 : 2);
-        Request r = co_await isend_impl(sv, dst, t, false);
+        Request r = co_await isend_impl(sv, dst, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
         break;
@@ -611,7 +602,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
       if (rank_ & rmask) {
         const Rank src = rank_ - rmask;
         View rv = View::synth(scratch_addr(rank_, 9), 2);
-        Request r = co_await irecv_impl(rv, src, t, false);
+        Request r = co_await irecv_impl(rv, src, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone || st.bytes > 1) err = kErrFabric;
         break;
@@ -624,7 +615,7 @@ sim::Task<int> Comm::agree_error(Tag tag, int err) {
         const Rank dst = rank_ + rmask;
         View sv =
             View::synth(scratch_addr(rank_, 10), err == kErrNone ? 1 : 2);
-        Request r = co_await isend_impl(sv, dst, t, false);
+        Request r = co_await isend_impl(sv, dst, t);
         const Status st = co_await wait(r);
         if (st.error != kErrNone) err = kErrFabric;
       }

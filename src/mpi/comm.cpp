@@ -79,8 +79,7 @@ View Comm::slice(const View& v, std::uint64_t offset, std::uint64_t len) {
                       : View::in(v.data() + offset, len);
 }
 
-sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
-                                    bool nonblocking) {
+sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
   buf = mpi_->canon(rank_, buf);
   auto& p = mpi_->proc(rank_);
@@ -93,14 +92,12 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag,
   SendOp op;
   op.env = Envelope{rank_, dst, tag, buf.bytes()};
   op.buf = buf;
-  op.nonblocking = nonblocking;
   op.req = req.state();
   co_await mpi_->device().start_send(std::move(op));
   co_return req;
 }
 
-sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag,
-                                    bool nonblocking) {
+sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(rank_, buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
@@ -125,7 +122,7 @@ sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
   const double tt0 = wtime();
-  Request req = co_await isend_impl(buf, dst, tag, false);
+  Request req = co_await isend_impl(buf, dst, tag);
   co_await wait(std::move(req));
   trace(prof::EventKind::kSend, "Send", dst, buf.bytes(), tt0);
 }
@@ -134,7 +131,7 @@ sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), false, buf.addr());
   const double tt0 = wtime();
-  Request req = co_await irecv_impl(buf, src, tag, false);
+  Request req = co_await irecv_impl(buf, src, tag);
   const Status st = co_await wait(std::move(req));
   trace(prof::EventKind::kRecv, "Recv", st.source, st.bytes, tt0);
   co_return st;
@@ -145,13 +142,13 @@ sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
   buf = mpi_->canon(rank_, buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), true, buf.addr(), intra);
-  return isend_impl(buf, dst, tag, true);
+  return isend_impl(buf, dst, tag);
 }
 
 sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), true, buf.addr());
-  return irecv_impl(buf, src, tag, true);
+  return irecv_impl(buf, src, tag);
 }
 
 sim::Task<Status> Comm::wait(Request req) {
@@ -173,11 +170,11 @@ sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
   recvbuf = mpi_->canon(rank_, recvbuf);
   mpi_->recorder().on_recv(rank_, recvbuf.bytes(), false, recvbuf.addr());
   const double tt0 = wtime();
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag, false);
+  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, sendbuf.bytes(), false, sendbuf.addr(),
                            intra);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag, false);
+  Request sreq = co_await isend_impl(sendbuf, dst, stag);
   co_await wait(sreq);
   const Status st = co_await wait(rreq);
   // One interval event for the exchange; the receive leg is recorded as a

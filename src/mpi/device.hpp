@@ -19,7 +19,6 @@ namespace mns::mpi {
 struct SendOp {
   Envelope env;
   View buf;
-  bool nonblocking = false;
   /// MPI_Ssend semantics: complete only after the receiver matched.
   bool synchronous = false;
   /// Completed exactly once by the device (see RequestState).

@@ -47,7 +47,6 @@ class Proc {
       fn.invoke();
     } else {
       deferred_.push_back(std::move(fn));
-      ++deferred_total_;
     }
   }
 
@@ -57,7 +56,6 @@ class Proc {
     while (!deferred_.empty()) deferred_.pop_front().invoke();
   }
 
-  std::uint64_t deferred_total() const { return deferred_total_; }
   std::size_t deferred_pending() const { return deferred_.size(); }
 
  private:
@@ -70,7 +68,6 @@ class Proc {
   int node_;
   int slot_;
   sim::Fifo<sim::EventFn> deferred_;
-  std::uint64_t deferred_total_ = 0;
 };
 
 }  // namespace mns::mpi

@@ -9,12 +9,15 @@
 //
 // Ownership under partitioned (PDES) execution: the two halves of a
 // message may run on different partition threads (remote_arrival runs
-// on the receiver's). A message whose two ends share a partition takes
-// its record from that partition's free list and returns it there, so
-// every list is touched by one thread only. A message crossing
-// partitions gets a heap record instead, freed wherever its last
-// reference drops (the fabric allocates its split-flow descriptor for
-// such messages anyway). The reference count is atomic for that case.
+// on the receiver's). Every record comes from the sender's partition's
+// pool, which owns it until the channel is destroyed, so a run aborted
+// mid-flight (a livelock or deadlock diagnostic) leaks nothing. A message
+// whose two ends share a partition returns its record to that pool's
+// free list, touched by one thread only. A message crossing partitions
+// may drop its last reference on the receiver's thread, so its record
+// goes back through the pool's atomic remote-free stack, which the
+// owning thread takes whole when its free list runs dry. The reference
+// count is atomic for that case.
 #pragma once
 
 #include <atomic>  // simlint-allow: threading (cross-partition records)
@@ -37,17 +40,23 @@ template <class T>
 struct PooledRecord {
   // simlint-allow: threading
   std::atomic<std::uint32_t> refs{0};
-  RecordPool<T>* home = nullptr;  // null: heap record (crossed partitions)
+  bool crossed = false;  // the message spans two partitions
+  RecordPool<T>* home = nullptr;
   T* next_free = nullptr;
 };
 
-/// One partition's free list of T. Grows only while more records are
-/// live than ever before.
+/// One partition's records of T. Grows only while more records are live
+/// than ever before. take() and put() run on the owning partition's
+/// thread; put_remote() on any thread.
 template <class T>
 class RecordPool {
  public:
   /// MNS_HOT: slab growth is warm-up only; afterwards take() pops.
   MNS_HOT T* take() {
+    if (free_ == nullptr &&
+        remote_free_.load(std::memory_order_relaxed) != nullptr) {
+      free_ = remote_free_.exchange(nullptr, std::memory_order_acquire);
+    }
     if (free_ != nullptr) return std::exchange(free_, free_->next_free);
     slab_.push_back(std::make_unique<T>());
     slab_.back()->home = this;
@@ -57,20 +66,31 @@ class RecordPool {
     r->next_free = free_;
     free_ = r;
   }
+  /// Push-only stack with a take-all consumer, so a recycled head (ABA)
+  /// still links correctly.
+  void put_remote(T* r) {
+    r->next_free = remote_free_.load(std::memory_order_relaxed);
+    while (!remote_free_.compare_exchange_weak(r->next_free, r,
+                                               std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+    }
+  }
 
  private:
   std::vector<std::unique_ptr<T>> slab_;
   T* free_ = nullptr;
+  // simlint-allow: threading
+  std::atomic<T*> remote_free_{nullptr};
 };
 
 /// Drop one reference; the last one recycles the record.
 template <class T>
 void release(T* r) {
   if (r->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  if (r->home != nullptr) {
-    r->home->put(r);
+  if (r->crossed) {
+    r->home->put_remote(r);
   } else {
-    delete r;
+    r->home->put(r);
   }
 }
 
@@ -84,14 +104,12 @@ class Records {
             static_cast<std::size_t>(fabric.partitions()))) {}
 
   /// A record for a message from node `a` to node `b`, holding `refs`
-  /// references. The caller (re)initializes every field it uses.
-  /// MNS_HOT: the heap record is one allocation per cross-partition
-  /// message; messages within a partition reuse pooled records.
+  /// references, taken on `a`'s partition thread. The caller
+  /// (re)initializes every field it uses.
   MNS_HOT T* acquire(int a, int b, std::uint32_t refs) {
     const int pa = fabric_->partition_of(a);
-    T* r = pa == fabric_->partition_of(b)
-               ? pools_[static_cast<std::size_t>(pa)].take()
-               : new T();
+    T* r = pools_[static_cast<std::size_t>(pa)].take();
+    r->crossed = pa != fabric_->partition_of(b);
     r->refs.store(refs, std::memory_order_relaxed);
     return r;
   }

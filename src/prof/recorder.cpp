@@ -16,7 +16,6 @@ void Recorder::touch_buffer(RankStats& st, std::uint64_t addr,
 
 void Recorder::on_send(int rank, std::uint64_t bytes, bool nonblocking,
                        std::uint64_t addr, bool intra_node) {
-  if (!enabled_) return;
   auto& st = ranks_[static_cast<std::size_t>(rank)];
   st.sent.add(bytes);
   ++st.mpi_calls;
@@ -36,7 +35,6 @@ void Recorder::on_send(int rank, std::uint64_t bytes, bool nonblocking,
 
 void Recorder::on_recv(int rank, std::uint64_t bytes, bool nonblocking,
                        std::uint64_t addr) {
-  if (!enabled_) return;
   auto& st = ranks_[static_cast<std::size_t>(rank)];
   // Note: receives do not count towards mpi_calls — the paper's call
   // accounting (Tables 1 and 5) follows send-side + collective calls.
@@ -47,16 +45,14 @@ void Recorder::on_recv(int rank, std::uint64_t bytes, bool nonblocking,
   touch_buffer(st, addr, bytes);
 }
 
-void Recorder::on_collective(int rank, const std::string& op,
-                             std::uint64_t bytes, std::uint64_t addr) {
-  if (!enabled_) return;
+void Recorder::on_collective(int rank, std::uint64_t bytes,
+                             std::uint64_t addr) {
   auto& st = ranks_[static_cast<std::size_t>(rank)];
   ++st.mpi_calls;
   ++st.collective_calls;
   st.sent.add(bytes);  // Table 1 counts collective calls by buffer size
   st.total_bytes += bytes;
   st.collective_bytes += bytes;
-  ++coll_ops_[static_cast<std::size_t>(rank)][op];
   touch_buffer(st, addr, bytes);
 }
 

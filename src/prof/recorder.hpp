@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,19 +47,14 @@ struct RankStats {
 
 class Recorder {
  public:
-  explicit Recorder(std::size_t ranks)
-      : ranks_(ranks), seen_(ranks), coll_ops_(ranks) {}
-
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
+  explicit Recorder(std::size_t ranks) : ranks_(ranks), seen_(ranks) {}
 
   void on_send(int rank, std::uint64_t bytes, bool nonblocking,
                std::uint64_t addr, bool intra_node);
   void on_recv(int rank, std::uint64_t bytes, bool nonblocking,
                std::uint64_t addr);
   /// One collective call; `bytes` is this rank's contributed volume.
-  void on_collective(int rank, const std::string& op, std::uint64_t bytes,
-                     std::uint64_t addr);
+  void on_collective(int rank, std::uint64_t bytes, std::uint64_t addr);
 
   const RankStats& rank(int r) const {
     return ranks_.at(static_cast<std::size_t>(r));
@@ -71,24 +64,11 @@ class Recorder {
   /// Sum across ranks (the paper reports whole-application numbers).
   RankStats totals() const;
 
-  /// Per-collective-op call counts across all ranks. Counts are kept
-  /// per rank (each rank's MPI calls may execute on its partition's
-  /// thread under PDES execution) and merged here at read time.
-  std::unordered_map<std::string, std::uint64_t> collective_ops() const {
-    std::unordered_map<std::string, std::uint64_t> merged;
-    for (const auto& per_rank : coll_ops_) {
-      for (const auto& [op, n] : per_rank) merged[op] += n;
-    }
-    return merged;
-  }
-
  private:
   void touch_buffer(RankStats& st, std::uint64_t addr, std::uint64_t bytes);
 
-  bool enabled_ = true;
   std::vector<RankStats> ranks_;
   std::vector<std::unordered_set<std::uint64_t>> seen_;
-  std::vector<std::unordered_map<std::string, std::uint64_t>> coll_ops_;
 };
 
 }  // namespace mns::prof

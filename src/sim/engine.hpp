@@ -394,8 +394,6 @@ class alignas(64) Engine {
   /// hang. Works identically under the PDES executor, where each
   /// partition's engine checks its own clock.
   void set_time_limit(Time deadline) { time_limit_ps_ = deadline.count_ps(); }
-  Time time_limit() const { return Time::ps(time_limit_ps_); }
-  bool has_time_limit() const { return time_limit_ps_ != INT64_MAX; }
 
   /// Finalize-time conservation checks: event queue drained, no live
   /// non-daemon process. Register after the simulation has run.
