@@ -111,7 +111,7 @@ struct OpenBox final : WireBox {
 
 /// CALL payload (run_on_node).
 struct CallBox final : WireBox {
-  std::function<void()> fn;  // simlint-allow: model-alloc (error path only)
+  std::function<void()> fn;  // simcheck-allow: model-alloc (error path only)
 };
 
 }  // namespace
@@ -299,7 +299,7 @@ void NetFabric::bind_executor(sim::pdes::FabricExecutor& exec) {
 }
 
 void NetFabric::run_on_node(int src_node, int dst_node,
-                            // simlint-allow: model-alloc (error path only)
+                            // simcheck-allow: model-alloc (error path only)
                             std::function<void()> fn) {
   if (fail_stop_armed_ && src_node != dst_node &&
       error_notify_delay_ > sim::Time::zero()) {
@@ -311,7 +311,7 @@ void NetFabric::run_on_node(int src_node, int dst_node,
         node_engine(src_node).now() + error_notify_delay_;
     if (is_boundary(src_node, dst_node)) {
       // simcheck-allow: hot-alloc (error teardown only)
-      auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
+      auto box = std::make_unique<CallBox>();  // simcheck-allow: model-alloc
       box->fn = std::move(fn);
       exec_->send(src_node, dst_node, when, wire_word(kWireCall, 0, 0), 0, 0,
                   box.release());
@@ -329,7 +329,7 @@ void NetFabric::run_on_node(int src_node, int dst_node,
   // this path are error-teardown flows whose timing the chaos suite
   // already treats as fabric-internal).
   // simcheck-allow: hot-alloc (error teardown only)
-  auto box = std::make_unique<CallBox>();  // simlint-allow: model-alloc
+  auto box = std::make_unique<CallBox>();  // simcheck-allow: model-alloc
   box->fn = std::move(fn);
   exec_->send(src_node, dst_node,
               node_engine(src_node).now() + exec_->topology().lookahead,
@@ -992,7 +992,7 @@ void NetFabric::launch_boundary_packet(MsgFlow& f, std::uint64_t p,
     // first in the delivery batch.
     // One descriptor per boundary message (not per packet); crosses to
     // the rx half and is freed there.
-    // simlint-allow: model-alloc
+    // simcheck-allow: model-alloc
     auto box = std::make_unique<OpenBox>();  // simcheck-allow: hot-alloc
     box->msg.src = f.msg.src;
     box->msg.dst = f.msg.dst;
@@ -1282,7 +1282,7 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
 
 void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
                                       sim::Time extra_setup,
-                                      // simlint-allow: model-alloc (per-broadcast)
+                                      // simcheck-allow: model-alloc (per-broadcast)
                                       std::function<void()> on_delivered) {
   if (partitions_ > 1) {
     // Devices with hardware broadcast demote the partition plan before
@@ -1295,7 +1295,7 @@ void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
   ++shard_of_node(src).bcasts_posted;
   auto task = [](NetFabric& self, int src, std::uint64_t bytes,
                  sim::Time extra_setup,
-                 // simlint-allow: model-alloc (per-broadcast callback)
+                 // simcheck-allow: model-alloc (per-broadcast callback)
                  std::function<void()> on_delivered) -> sim::Task<void> {
     co_await self.eng_->delay(self.nic_.per_msg_setup + extra_setup);
 
@@ -1310,7 +1310,7 @@ void NetFabric::post_switch_broadcast(int src, std::uint64_t bytes,
       sim::Trigger done;
       Fanout(sim::Engine& e, std::size_t n) : remaining(n), done(e) {}
     };
-    auto fan = std::make_shared<Fanout>(  // simlint-allow: model-alloc
+    auto fan = std::make_shared<Fanout>(  // simcheck-allow: model-alloc
         *self.eng_, plan.packets * std::max<std::size_t>(peers, 1));
 
     auto leg = [](NetFabric& self, int src, int dst, std::uint64_t pkt,

@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>  // simlint-allow: model-alloc
+#include <functional>  // simcheck-allow: model-alloc
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -187,7 +187,7 @@ class NetFabric {
   /// same delay in sequential runs is what makes fail-stop outcomes
   /// bit-identical across partition counts.
   void run_on_node(int src_node, int dst_node,
-                   // simlint-allow: model-alloc (error path only)
+                   // simcheck-allow: model-alloc (error path only)
                    std::function<void()> fn);
 
   /// Wire latency charged to cross-node error notifications under a
@@ -276,7 +276,7 @@ class NetFabric {
   /// with the same pipelining granularity as unicast messages.
   void post_switch_broadcast(int src, std::uint64_t bytes,
                              sim::Time extra_setup,
-                             // simlint-allow: model-alloc (per-broadcast callback)
+                             // simcheck-allow: model-alloc (per-broadcast callback)
                              std::function<void()> on_delivered);
 
  protected:

@@ -20,7 +20,7 @@
 // count is atomic for that case.
 #pragma once
 
-#include <atomic>  // simlint-allow: threading (cross-partition records)
+#include <atomic>  // simcheck-allow: threading (cross-partition records)
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -38,7 +38,7 @@ class RecordPool;
 /// links.
 template <class T>
 struct PooledRecord {
-  // simlint-allow: threading
+  // simcheck-allow: threading
   std::atomic<std::uint32_t> refs{0};
   bool crossed = false;  // the message spans two partitions
   RecordPool<T>* home = nullptr;
@@ -79,7 +79,7 @@ class RecordPool {
  private:
   std::vector<std::unique_ptr<T>> slab_;
   T* free_ = nullptr;
-  // simlint-allow: threading
+  // simcheck-allow: threading
   std::atomic<T*> remote_free_{nullptr};
 };
 

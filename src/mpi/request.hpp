@@ -1,7 +1,7 @@
 // Non-blocking request handles.
 #pragma once
 
-#include <atomic>  // simlint-allow: threading (cross-partition ledger)
+#include <atomic>  // simcheck-allow: threading (cross-partition ledger)
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -23,11 +23,11 @@ namespace mns::mpi {
 /// PDES partitions report concurrently, and only the finalize-time sums
 /// (read after every thread has parked) are meaningful.
 struct RequestLedger {
-  // simlint-allow: threading
+  // simcheck-allow: threading
   std::atomic<std::uint64_t> created{0};
-  // simlint-allow: threading
+  // simcheck-allow: threading
   std::atomic<std::uint64_t> completed{0};
-  // simlint-allow: threading
+  // simcheck-allow: threading
   std::atomic<std::uint64_t> double_completed{0};
 };
 

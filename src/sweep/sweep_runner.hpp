@@ -11,7 +11,7 @@
 //   - results come back in input order regardless of --jobs, so emitted
 //     tables are bit-identical between --jobs 1 and --jobs N;
 //   - parallelism lives ONLY here, between simulations, never inside one.
-//     tools/simlint.py enforces that no other src/ code touches threads.
+//     tools/simcheck enforces that no other src/ code touches threads.
 #pragma once
 
 #include <algorithm>

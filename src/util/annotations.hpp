@@ -1,4 +1,5 @@
-// Source annotations consumed by the static checkers (tools/simcheck).
+// Source annotations consumed by the static checker (tools/simcheck),
+// which reads them as tokens: they expand to nothing in every compiler.
 //
 // MNS_HOT marks a function as an *audited allocation boundary* on the
 // simulator's hot paths: its own body is allowed to allocate (slab refill,
@@ -9,8 +10,4 @@
 // step function.
 #pragma once
 
-#if defined(__clang__)
-#define MNS_HOT [[clang::annotate("mns_hot")]]
-#else
 #define MNS_HOT
-#endif

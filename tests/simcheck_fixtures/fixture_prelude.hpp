@@ -1,21 +1,15 @@
 // Shared scaffolding for the simcheck rule fixtures: a minimal coroutine
 // task type and a tiny engine facade, just enough for the known-bad and
-// known-good translation units to exercise each rule with both frontends
-// (libclang parses this for real; the token frontend only needs the
-// shapes). Deliberately dependency-free.
+// known-good translation units to exercise each rule (the token frontend
+// only needs the shapes, but the fixtures stay valid C++). Deliberately
+// dependency-free.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <utility>
 
-#ifndef MNS_HOT
-#if defined(__clang__)
-#define MNS_HOT [[clang::annotate("mns_hot")]]
-#else
 #define MNS_HOT
-#endif
-#endif
 
 namespace fix {
 
@@ -27,6 +21,10 @@ struct Task {
     void return_void() {}
     void unhandled_exception() {}
   };
+  // Awaitable, so the co_await idioms in the fixtures compile as written.
+  bool await_ready() { return true; }
+  void await_suspend(std::coroutine_handle<>) {}
+  void await_resume() {}
 };
 
 struct Awaiter {

@@ -1,6 +1,7 @@
 // known-good: every same-frame coroutine-lambda idiom the rule must not
-// flag — awaited in place, passed to the synchronous run() driver, and a
-// by-value capture handed to spawn().
+// flag — awaited in place, passed to the synchronous run() driver, bound
+// to a name that is only ever co_awaited — and a by-value capture handed
+// to spawn().
 #include <cstdint>
 
 #include "fixture_prelude.hpp"
@@ -21,6 +22,16 @@ void run_driver(fix::Engine& eng) {
     co_await fix::sleep_ps(10);
     budget -= 1;  // safe: run() drains the engine before returning
   });
+}
+
+fix::Task named_and_awaited() {
+  std::int64_t budget = 100;
+  auto body = [&]() -> fix::Task {
+    budget -= 1;  // safe: every use of `body` below is co_awaited
+    co_return;
+  };
+  co_await body();
+  co_await body();
 }
 
 void value_capture(fix::Engine& eng) {

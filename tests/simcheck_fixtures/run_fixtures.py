@@ -4,17 +4,20 @@ translation units and stays silent on the known-good ones.
 
 pytest-style test_* functions, but runnable with plain python3 (ctest
 invokes this file directly; pytest is not a dependency). Each test runs
-the real CLI as a subprocess against a synthetic compile_commands.json
-spanning one fixture group, with the default hot roots replaced by the
-fixtures' own (`HotMachine::step_event`, `Dispatcher::step_event`).
+the real CLI as a subprocess with one fixture group as --root, with the
+default hot roots replaced by the fixtures' own
+(`HotMachine::step_event`, `Dispatcher::step_event`).
 
-The fallback frontend is exercised always; the libclang frontend is
-exercised additionally whenever the bindings load on this host.
+Lines of bad/ that the pattern rules or coro-ref-escape must flag carry a
+`// fires: <rule>` marker; those rules must report exactly the marked
+lines. Subdirectories (fault/, model/, sweep/, pdes/) exercise the pattern
+rules' directory gating.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,51 +27,29 @@ FIXTURES = Path(__file__).resolve().parent
 REPO = FIXTURES.parent.parent
 CLI = REPO / "tools" / "simcheck" / "cli.py"
 HOT_ROOTS = ["HotMachine::step_event$", "Dispatcher::step_event$"]
+MARKED_RULES = {"wall-clock", "randomness", "threading", "stdout",
+                "fault-alloc", "model-alloc", "coro-ref-escape"}
+MARK_RE = re.compile(r"// fires: ([\w-]+)")
 
 
-def frontends() -> list[str]:
-    fes = ["fallback"]
-    sys.path.insert(0, str(REPO / "tools"))
-    try:
-        from simcheck import parse_clang
-        if parse_clang.available():
-            fes.append("clang")
-    except Exception:
-        pass
-    return fes
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(CLI), *args],
+                          capture_output=True, text=True)
 
 
-def write_compdb(tmp: Path, group: Path) -> Path:
-    entries = [{
-        "directory": str(tmp),
-        "file": str(cpp),
-        "arguments": ["clang++", "-std=c++20", f"-I{FIXTURES}",
-                      "-c", str(cpp)],
-    } for cpp in sorted(group.glob("*.cpp"))]
-    assert entries, f"no fixture sources in {group}"
-    cc = tmp / f"compile_commands_{group.name}.json"
-    cc.write_text(json.dumps(entries, indent=2), encoding="utf-8")
-    return cc
-
-
-def run_simcheck(group_name: str, frontend: str, tmp: Path):
-    group = FIXTURES / group_name
-    cc = write_compdb(tmp, group)
-    findings_path = tmp / f"findings_{group_name}_{frontend}.json"
-    state_path = tmp / f"state_{group_name}_{frontend}.json"
-    cmd = [sys.executable, str(CLI),
-           "--compile-commands", str(cc),
-           "--root", str(group),
-           "--frontend", frontend,
-           "--no-default-hot-roots",
-           "--findings-json", str(findings_path),
-           "--state-json", str(state_path),
-           "--quiet"]
+def run_simcheck(group_name: str, tmp: Path):
+    findings_path = tmp / f"findings_{group_name}.json"
+    state_path = tmp / f"state_{group_name}.json"
+    args = ["--root", str(FIXTURES / group_name),
+            "--no-default-hot-roots",
+            "--findings-json", str(findings_path),
+            "--state-json", str(state_path),
+            "--quiet"]
     for hr in HOT_ROOTS:
-        cmd += ["--hot-root", hr]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+        args += ["--hot-root", hr]
+    proc = run_cli(*args)
     assert proc.returncode in (0, 1), (
-        f"simcheck crashed ({proc.returncode}) on {group_name}/{frontend}:"
+        f"simcheck crashed ({proc.returncode}) on {group_name}:"
         f"\n{proc.stdout}\n{proc.stderr}")
     findings = json.loads(findings_path.read_text(encoding="utf-8"))
     state = json.loads(state_path.read_text(encoding="utf-8"))
@@ -81,9 +62,9 @@ def in_file(findings, rule: str, basename: str, severity: str = "error"):
             and Path(f["file"]).name == basename]
 
 
-def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
-    rc, findings, state = run_simcheck("bad", frontend, tmp)
-    assert rc == 1, f"expected exit 1 on bad/ ({frontend}), got {rc}"
+def test_bad_fixtures_fire_every_rule(tmp: Path) -> None:
+    rc, findings, state = run_simcheck("bad", tmp)
+    assert rc == 1, f"expected exit 1 on bad/, got {rc}"
 
     ptr = in_file(findings, "ptr-key", "ptr_key.cpp")
     assert len(ptr) == 3, f"ptr-key: want 3 findings, got {ptr}"
@@ -95,9 +76,6 @@ def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
     assert len(hot) >= 2, f"hot-alloc: want >=2 findings, got {hot}"
     assert any("new" in f["message"] or "commit" in (f["chain"] or "")
                for f in hot), f"hot-alloc: transitive new not found: {hot}"
-
-    coro = in_file(findings, "coro-ref-escape", "coro_escape.cpp")
-    assert len(coro) >= 1, f"coro-ref-escape: want >=1 finding, got {coro}"
 
     pdes = in_file(findings, "pdes-static", "pdes_static.cpp")
     assert len(pdes) == 2, f"pdes-static: want 2 errors, got {pdes}"
@@ -128,11 +106,27 @@ def test_bad_fixtures_fire_every_rule(frontend: str, tmp: Path) -> None:
     assert state["verdict"]["gating_findings"] == 2, state["verdict"]
 
 
-def test_good_fixtures_stay_silent(frontend: str, tmp: Path) -> None:
-    rc, findings, state = run_simcheck("good", frontend, tmp)
+def test_marked_lines_fire_exactly(tmp: Path) -> None:
+    _, findings, _ = run_simcheck("bad", tmp)
+    want = set()
+    for f in sorted((FIXTURES / "bad").rglob("*.cpp")):
+        rel = f.relative_to(FIXTURES / "bad").as_posix()
+        for n, line in enumerate(f.read_text(encoding="utf-8").split("\n"),
+                                 start=1):
+            want |= {(rel, n, m.group(1)) for m in MARK_RE.finditer(line)}
+    assert {r for _, _, r in want} == MARKED_RULES, (
+        f"every marked rule needs a bad/ fixture: {sorted(want)}")
+    got = {(f["file"], f["line"], f["rule"]) for f in findings
+           if f["rule"] in MARKED_RULES}
+    assert got == want, (f"missing {sorted(want - got)}, "
+                         f"unexpected {sorted(got - want)}")
+
+
+def test_good_fixtures_stay_silent(tmp: Path) -> None:
+    rc, findings, state = run_simcheck("good", tmp)
     errors = [f for f in findings if f["severity"] == "error"]
-    assert not errors, f"good/ must be error-free ({frontend}): {errors}"
-    assert rc == 0, f"expected exit 0 on good/ ({frontend}), got {rc}"
+    assert not errors, f"good/ must be error-free: {errors}"
+    assert rc == 0, f"expected exit 0 on good/, got {rc}"
 
     # thread_local is an info note, never an error.
     infos = in_file(findings, "pdes-static", "pdes_static.cpp", "info")
@@ -152,13 +146,26 @@ def test_good_fixtures_stay_silent(frontend: str, tmp: Path) -> None:
     assert state["verdict"]["gating_findings"] == 0, state["verdict"]
 
 
-def test_missing_compdb_is_usage_error(frontend: str, tmp: Path) -> None:
-    proc = subprocess.run(
-        [sys.executable, str(CLI),
-         "--compile-commands", str(tmp / "nope.json"),
-         "--root", str(FIXTURES), "--frontend", frontend],
-        capture_output=True, text=True)
+def test_missing_root_is_usage_error(tmp: Path) -> None:
+    proc = run_cli("--root", str(tmp / "nope"))
     assert proc.returncode == 2, proc
+
+
+def test_unknown_flag_is_usage_error(tmp: Path) -> None:
+    proc = run_cli("--root", str(FIXTURES / "good"), "--frontend", "clang")
+    assert proc.returncode == 2, proc
+
+
+def test_stale_hot_root_is_usage_error(tmp: Path) -> None:
+    # A root matching no function, and one that is not a regex at all.
+    for bad in ("Nope::missing$", "Nope::(missing$"):
+        proc = run_cli("--root", str(FIXTURES / "good"),
+                       "--no-default-hot-roots",
+                       "--hot-root", "Dispatcher::step_event$",
+                       "--hot-root", bad)
+        assert proc.returncode == 2, proc
+        assert bad in proc.stderr, proc.stderr
+        assert "Dispatcher" not in proc.stderr, proc.stderr
 
 
 def main() -> int:
@@ -167,16 +174,14 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory(prefix="simcheck_fixtures_") as td:
         tmp = Path(td)
-        for fe in frontends():
-            for name, fn in tests:
-                label = f"{name}[{fe}]"
-                try:
-                    fn(fe, tmp)
-                except AssertionError as exc:
-                    failed += 1
-                    print(f"FAIL {label}: {exc}")
-                else:
-                    print(f"PASS {label}")
+        for name, fn in tests:
+            try:
+                fn(tmp)
+            except AssertionError as exc:
+                failed += 1
+                print(f"FAIL {name}: {exc}")
+            else:
+                print(f"PASS {name}")
     if failed:
         print(f"{failed} fixture test(s) failed")
         return 1

@@ -1,11 +1,29 @@
-"""simcheck: semantic determinism analysis for the mpinetsim simulator.
+"""simcheck: static determinism analysis for the mpinetsim simulator.
 
-Where tools/simlint.py enforces the determinism contract with per-line
-regexes, simcheck reasons about *structure*: declarations and their types,
-function bodies and the call graph, lambda captures and their escape
-routes, statics and who reaches them. It ships the four rule families the
-regexes cannot express:
+The simulator's contract is determinism: two runs of the same
+configuration produce bit-identical results, at any --jobs. simcheck
+enforces it over the source tree with one dependency-free token frontend
+(parse.py) and two kinds of rules.
 
+Six per-line pattern rules over comment- and string-stripped text, each
+gated by directory:
+
+  wall-clock       host clocks (std::chrono clocks, time(), gettimeofday);
+                   simulated time comes from sim::Engine.
+  randomness       std::random_device, rand(), srand(); draws come from
+                   the seeded generators in util/rng.hpp.
+  stdout           std::cout / printf / puts in library code.
+  threading        threads, atomics and locks outside sweep/ and pdes/.
+  fault-alloc      heap allocation and <random> under fault/.
+  model-alloc      std::make_shared / std::function under model/.
+
+Structural rules over the parsed IR (declarations, function bodies, the
+call graph, lambda captures, statics):
+
+  coro-ref-escape  a by-reference coroutine lambda that is not co_awaited
+                   in place, passed directly to run(), or bound with
+                   `auto name =` and only ever co_awaited. The lambda dies
+                   with its frame; the coroutine frame outlives it.
   ptr-key          std::map/std::set (and unordered cousins) keyed on a
                    pointer type — iteration order then depends on host
                    addresses, the exact bug class mpi::Mpi::canon papers
@@ -31,17 +49,8 @@ regexes cannot express:
                    consume. Mutable shared statics are findings; per-thread
                    and const-after-init state is reported but legal.
 
-Two interchangeable frontends feed the same IR:
-
-  clang     libclang (python clang.cindex) over compile_commands.json —
-            real AST, types and scopes. Used when the bindings and a
-            loadable libclang are present.
-  fallback  a token/scope analyzer with no dependencies beyond the Python
-            stdlib. Runs everywhere (CI stays green on minimal hosts),
-            understands this codebase's idioms, and is what the fixture
-            suite pins down rule by rule.
-
-`python3 tools/simcheck/cli.py --help` for usage.
+Suppress a finding with `// simcheck-allow: <rule>` on its line or the
+line above. `python3 tools/simcheck/cli.py --help` for usage.
 """
 
 __version__ = "1.0"

@@ -1,43 +1,48 @@
 """simcheck command line.
 
-    python3 tools/simcheck/cli.py --compile-commands build/compile_commands.json \
-        --root src --state-json build/simcheck_state.json
+    python3 tools/simcheck/cli.py --root src \
+        --state-json build/simcheck_state.json
 
-Exit status: 0 clean (or only info notes), 1 error findings, 2 usage /
-environment failure. --frontend auto prefers libclang when it loads and
-silently falls back to the dependency-free token frontend otherwise, so
-the check gates on every host."""
+Parses every C++ source and header under --root; no configure step is
+needed. Exit status: 0 clean (or only info notes), 1 error findings, 2
+usage error (including a hot root that matches no function)."""
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 if __package__ in (None, ""):  # direct invocation: bootstrap the package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from simcheck import compdb, parse_fallback, report, rules  # type: ignore
-    from simcheck import parse_clang  # type: ignore
+    from simcheck import parse, report, rules  # type: ignore
 else:
-    from . import compdb, parse_clang, parse_fallback, report, rules
+    from . import parse, report, rules
+
+EXTENSIONS = {".hpp", ".cpp", ".h", ".cc", ".cxx"}
+
+
+def regex(text: str) -> str:
+    try:
+        re.compile(text)
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="simcheck",
-        description="semantic determinism analysis for mpinetsim")
-    p.add_argument("--compile-commands", required=True, type=Path,
-                   help="path to compile_commands.json")
+        description="determinism analysis for mpinetsim")
     p.add_argument("--root", required=True, type=Path,
-                   help="source root to analyze (files outside are ignored)")
-    p.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                   default="auto")
+                   help="source directory to analyze")
     p.add_argument("--state-json", type=Path, default=None,
                    help="write the PDES state inventory here")
     p.add_argument("--findings-json", type=Path, default=None,
                    help="write findings as JSON (for the fixture driver)")
     p.add_argument("--hot-root", action="append", default=[],
-                   metavar="REGEX",
+                   type=regex, metavar="REGEX",
                    help="extra hot-path root (repeatable); replaces the "
                         "defaults when --no-default-hot-roots is given")
     p.add_argument("--no-default-hot-roots", action="store_true")
@@ -49,11 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.compile_commands.exists():
-        print(f"simcheck: {args.compile_commands} not found — configure "
-              "with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON first",
-              file=sys.stderr)
-        return 2
     root = args.root.resolve()
     if not root.is_dir():
         print(f"simcheck: root {root} is not a directory", file=sys.stderr)
@@ -67,35 +67,32 @@ def main(argv: list[str] | None = None) -> int:
         print("simcheck: no hot roots configured", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "clang" if parse_clang.available() else "fallback"
-    elif frontend == "clang" and not parse_clang.available():
-        print("simcheck: --frontend clang requested but libclang is not "
-              "loadable", file=sys.stderr)
+    inputs = [(p, p.relative_to(root).as_posix())
+              for p in sorted(root.rglob("*"))
+              if p.suffix in EXTENSIONS and p.is_file()]
+    if not inputs:
+        print(f"simcheck: no C++ sources under {root}", file=sys.stderr)
         return 2
+    sm = parse.parse_files(inputs)
 
-    if frontend == "clang":
-        db = compdb.load_compdb(args.compile_commands)
-        sm = parse_clang.parse_with_clang(db, root)
-    else:
-        inputs = compdb.collect_inputs(args.compile_commands, root)
-        if not inputs:
-            print(f"simcheck: no sources under {root} in "
-                  f"{args.compile_commands}", file=sys.stderr)
-            return 2
-        sm = parse_fallback.parse_files(inputs)
+    # A root that names no function checks nothing; a rename or deletion
+    # must update the list rather than silently shrink the proof.
+    stale = [r for r in hot_roots if not rules.hot_root_functions(sm, [r])]
+    if stale:
+        print("simcheck: hot root(s) matching no function: "
+              + ", ".join(stale), file=sys.stderr)
+        return 2
 
     findings, inventory = rules.run_all(sm, hot_roots)
 
     if args.state_json:
-        report.write_state_json(args.state_json, inventory, frontend,
-                                hot_roots, findings)
+        report.write_state_json(args.state_json, inventory, hot_roots,
+                                findings)
     if args.findings_json:
         args.findings_json.write_text(report.findings_json(findings),
                                       encoding="utf-8")
     if not args.quiet:
-        print(report.render_text(findings, frontend, len(sm.files),
+        print(report.render_text(findings, len(sm.files),
                                  len(sm.functions)))
     return 1 if any(f.severity == "error" for f in findings) else 0
 

@@ -1,10 +1,11 @@
-"""Lexical layer shared by the fallback frontend: comment/string stripping
-(preserving line structure), suppression-comment harvesting, and a small
-C++ tokenizer that keeps line numbers.
+"""Lexical layer of the token frontend: comment/string stripping
+(preserving line structure), suppression-comment harvesting, directive
+blanking, and a small C++ tokenizer that keeps line numbers.
 
-The stripping pass mirrors tools/simlint.py so both tools agree on what a
-suppression comment blesses: a trailing `// simcheck-allow: rule` covers
-its own line; a comment alone on its line covers the line below."""
+A `// simcheck-allow: rule` comment covers its own line and the next code
+line below it. "Code line" is judged on the stripped text with preprocessor
+directives still in place, so an allow above an `#include` blesses that
+include, and an allow on an include line blesses the line after it."""
 
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ def strip_and_harvest(text: str) -> tuple[str, dict[int, set[str]]]:
     """Blank comments, string and char literals; collect simcheck-allow
     suppressions per line. An allow comment blesses its own line and the
     next code line below it (comment-only lines in between don't break
-    the chain) — the same semantics as tools/simlint.py."""
+    the chain). Preprocessor directives are kept: the pattern rules read
+    `#include` lines, and blank_directives() hides them from the
+    tokenizer."""
     out: list[str] = []
     allows: dict[int, set[str]] = {}
     pending: list[tuple[int, str]] = []
@@ -67,7 +70,7 @@ def strip_and_harvest(text: str) -> tuple[str, dict[int, set[str]]]:
                 line += 1
             out.append(c)
             i += 1
-    stripped = _blank_directives("".join(out))
+    stripped = "".join(out)
     # Forward each allow to the first non-blank (after stripping) line
     # below its comment, so the allow can sit on the line above.
     stripped_lines = stripped.split("\n")
@@ -79,7 +82,7 @@ def strip_and_harvest(text: str) -> tuple[str, dict[int, set[str]]]:
     return stripped, allows
 
 
-def _blank_directives(stripped: str) -> str:
+def blank_directives(stripped: str) -> str:
     """Blank preprocessor directives (with backslash continuations) so the
     tokenizer only sees C++ proper."""
     lines = stripped.split("\n")

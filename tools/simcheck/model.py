@@ -1,9 +1,10 @@
-"""The frontend-neutral IR both frontends produce and all rules consume.
+"""The IR the token frontend produces and all rules consume.
 
-The IR is deliberately modest: enough structure for the four rule
-families, nothing more. A frontend that cannot prove a fact leaves the
-field at its "unknown" default — rules only fire on positive evidence, so
-an imprecise frontend under-reports rather than inventing findings."""
+The IR is deliberately modest: enough structure for the rule families,
+nothing more. Where the frontend cannot prove a fact it leaves the field
+at its "unknown" default — the structural rules only fire on positive
+evidence, so the imprecise frontend under-reports rather than inventing
+findings."""
 
 from __future__ import annotations
 
@@ -45,9 +46,13 @@ class LambdaSite:
     captures: str                # raw capture list text ('&', 'this, &x')
     by_ref: bool = False         # any by-reference capture
     is_coroutine: bool = False   # co_await/co_return/co_yield in OWN body
-    # How the lambda leaves the introducer expression:
-    #   awaited_in_place | immediate_invoke | run_arg | named:<ident> |
-    #   arg:<callee> | returned | assigned:<target> | unknown
+    # What the lambda expression feeds (judged from the tokens before its
+    # introducer, so an immediate call `[&]{...}()` counts as its lambda):
+    #   awaited_in_place | run_arg | named_awaited:<ident> |
+    #   named:<ident> | arg:<callee> | returned | assigned:<target> |
+    #   unknown
+    # named_awaited: bound with `auto <ident> =` and every later use of
+    # <ident> is co_awaited; named: some later use is not (or none is).
     usage: str = "unknown"
 
 
@@ -103,8 +108,7 @@ class ClassInfo:
 
 @dataclass
 class SourceModel:
-    """Everything the frontends extracted from one run."""
-    frontend: str = "fallback"
+    """Everything the frontend extracted from one run."""
     functions: list[Function] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     statics: list[StaticVar] = field(default_factory=list)
@@ -112,6 +116,12 @@ class SourceModel:
     # file -> line -> suppressed rule names
     allows: dict[str, dict[int, set[str]]] = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
+    # file -> comment- and string-stripped text, directives kept (the
+    # input of the per-line pattern rules)
+    stripped: dict[str, str] = field(default_factory=dict)
+    # default member initializers and constructor initializer lists, one
+    # detached Function each: read for lambdas only, not in the call graph
+    initializers: list[Function] = field(default_factory=list)
 
     def allowed(self, rule: str, file: str, line: int) -> bool:
         return rule in self.allows.get(file, {}).get(line, set())

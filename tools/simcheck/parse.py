@@ -1,19 +1,21 @@
-"""Fallback frontend: a token/scope analyzer for the simcheck IR.
+"""Token frontend: a token/scope analyzer for the simcheck IR.
 
-No dependency beyond the Python stdlib, so the checker runs on hosts
-without libclang bindings. It is a *recognizer*, not a compiler: it tracks
-namespaces, classes (with bases and member types), function definitions
-(with qualified names), lambdas (captures, coroutine-ness, escape route),
-range-for loops (iterable typing through members/locals/params), statics
-at every scope, allocation sites, and name-level call sites. Anything it
-cannot prove it leaves unknown — rules fire on positive evidence only."""
+No dependency beyond the Python stdlib, so the checker runs in a bare
+checkout with no configure step. It is a *recognizer*, not a compiler: it
+tracks namespaces, classes (with bases and member types), function
+definitions (with qualified names), lambdas (captures, coroutine-ness,
+escape route), range-for loops (iterable typing through
+members/locals/params), statics at every scope, allocation sites, and
+name-level call sites. Anything it cannot prove it leaves unknown — the
+structural rules fire on positive evidence only."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .lex import (KEYWORDS, LAMBDA_PRECEDERS, Tok, match_forward,
-                  skip_template_args, strip_and_harvest, tokenize)
+from .lex import (KEYWORDS, LAMBDA_PRECEDERS, Tok, blank_directives,
+                  match_forward, skip_template_args, strip_and_harvest,
+                  tokenize)
 from .model import (AllocSite, CallSite, ClassInfo, ContainerDecl, Function,
                     LambdaSite, LoopSite, SourceModel, StaticVar)
 
@@ -104,9 +106,11 @@ class FileParser:
         text = path.read_text(encoding="utf-8", errors="replace")
         stripped, allows = strip_and_harvest(text)
         sm.allows[rel] = allows
-        self.toks = tokenize(stripped)
+        sm.stripped[rel] = stripped
+        self.toks = tokenize(blank_directives(stripped))
         self.n = len(self.toks)
-        # function bodies deferred to a second pass (see _parse_function)
+        # function bodies and initializer spans, walked in a second pass
+        # (see _parse_function and _init_span)
         self.pending: list[tuple[Function, int, int, dict[str, str]]] = []
 
     # -- declaration scope ---------------------------------------------------
@@ -309,11 +313,15 @@ class FileParser:
                                         name_line)
         # Variable / field declaration (possibly `Foo x{...};`).
         type_str = _type_of(prefix)
+        init = j + 1
         if stop == "{":
             close = match_forward(self.toks, j, "{", "}")
             j = self._skip_past(close, end, ";") - 1
         elif stop == "=":
             j = self._skip_past(j, end, ";") - 1
+        if cls is not None and name and stop in ("{", "="):
+            self._init_span(cls.qname + "::" + name, cls.qname, name_line,
+                            init, j)
         if name and "using" not in specs:
             self._record_variable(name, name_line, type_str, specs, ns, cls)
         return max(j + 1, start + 1)
@@ -357,6 +365,7 @@ class FileParser:
                         name_line: int) -> int:
         params_end = match_forward(self.toks, lparen, "(", ")")
         j = params_end
+        inits = 0
         # Scan the post-parameter region for the body '{', a ';' (prototype)
         # or '= default/delete/0;'.
         while j < end:
@@ -369,6 +378,7 @@ class FileParser:
             elif txt == "<":
                 j = skip_template_args(self.toks, j)
             elif txt == ":":
+                inits = j + 1
                 j = self._skip_ctor_inits(j + 1, end)
             elif txt == "{":
                 break
@@ -410,7 +420,21 @@ class FileParser:
         # its class, and .cpp bodies need headers' class layouts.
         self.pending.append((fn, j + 1, body_end - 1, param_types))
         self.sm.functions.append(fn)
+        if inits:
+            self._init_span(qname, cls_qname, name_line, inits, j)
         return body_end
+
+    def _init_span(self, qname: str, cls: str, line: int, start: int,
+                   end: int) -> None:
+        """An initializer outside any function body. Its lambdas are
+        checked by coro-ref-escape; the detached Function holding them
+        stays out of the call graph."""
+        if not any(tok.text == "[" for tok in self.toks[start:end]):
+            return
+        holder = Function(qname=qname, name=qname.rsplit("::", 1)[-1],
+                          cls=cls, file=self.rel, line=line)
+        self.pending.append((holder, start, end, {}))
+        self.sm.initializers.append(holder)
 
     def _skip_ctor_inits(self, i: int, end: int) -> int:
         """Skip a constructor initializer list; returns index of body '{'."""
@@ -957,13 +981,12 @@ class BodyAnalyzer:
         return body_end
 
     def _lambda_usage(self, intro: int, body_end: int, end: int) -> str:
+        """Judged from the tokens before the introducer only, so an
+        immediately invoked lambda is classified by what its call feeds."""
         prev = self.toks[intro - 1].text if intro > 0 else ""
         prev2 = self.toks[intro - 2].text if intro > 1 else ""
-        nxt = self.toks[body_end].text if body_end < end else ""
         if prev == "co_await":
             return "awaited_in_place"
-        if nxt == "(":
-            return "immediate_invoke"
         if prev == "(" and intro >= 2:
             callee = self.toks[intro - 2]
             if callee.kind == "id":
@@ -989,10 +1012,21 @@ class BodyAnalyzer:
                             return "arg:" + callee.text
                         break
                 j -= 1
-            return "arg:?"
+            return "unknown"
         if prev == "=" and prev2 and self.toks[intro - 2].kind == "id":
             target = self.toks[intro - 2].text
             if intro >= 3 and self.toks[intro - 3].text == "auto":
+                if body_end < end and self.toks[body_end].text == "(":
+                    # `auto t = [&]{...}();` binds the task, not the
+                    # lambda: the closure its frame reads dies at the ';'.
+                    return "unknown"
+                # Same-frame only if every later use of the name in the
+                # enclosing body is co_awaited, and there is one.
+                uses = [k for k in range(body_end, end)
+                        if self.toks[k].text == target]
+                if uses and all(self.toks[k - 1].text == "co_await"
+                                for k in uses):
+                    return "named_awaited:" + target
                 return "named:" + target
             return "assigned:" + target
         if prev in ("return", "co_return"):
@@ -1005,7 +1039,7 @@ def parse_files(paths: list[tuple[Path, str]]) -> SourceModel:
 
     Two passes: headers first so class layouts (member types, bases) are
     known when .cpp bodies resolve loop iterables and receivers."""
-    sm = SourceModel(frontend="fallback")
+    sm = SourceModel()
     ordered = sorted(paths, key=lambda pr: (pr[0].suffix not in
                                             (".hpp", ".h"), pr[1]))
     parsers = []

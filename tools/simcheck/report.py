@@ -9,10 +9,9 @@ from pathlib import Path
 from .model import Finding
 
 
-def render_text(findings: list[Finding], frontend: str,
-                n_files: int, n_functions: int) -> str:
-    lines = [f"simcheck: frontend={frontend} files={n_files} "
-             f"functions={n_functions}"]
+def render_text(findings: list[Finding], n_files: int,
+                n_functions: int) -> str:
+    lines = [f"simcheck: files={n_files} functions={n_functions}"]
     errors = [f for f in findings if f.severity == "error"]
     infos = [f for f in findings if f.severity != "error"]
     for f in errors:
@@ -33,14 +32,13 @@ def findings_json(findings: list[Finding]) -> str:
     } for f in findings], indent=2) + "\n"
 
 
-def write_state_json(path: Path, inventory: list[dict], frontend: str,
+def write_state_json(path: Path, inventory: list[dict],
                      hot_roots: list[str],
                      findings: list[Finding] | None = None) -> None:
     pdes = [f for f in (findings or []) if f.rule == "pdes-static"]
     gating = sum(1 for f in pdes if f.severity == "error")
     doc = {
-        "schema": "simcheck_state/2",
-        "frontend": frontend,
+        "schema": "simcheck_state/3",
         "hot_roots": hot_roots,
         "statics": inventory,
         "summary": {

@@ -1,54 +1,196 @@
-"""The four rule families, evaluated over a SourceModel.
+"""The rule families, evaluated over a SourceModel.
 
-Every rule fires on positive evidence only; suppression is per-line via
-`// simcheck-allow: <rule>` (same line or the line above, mirroring
-simlint). Severity 'info' findings are reported and land in
-simcheck_state.json but never affect the exit status."""
+The six pattern rules match one line of comment- and string-stripped text
+at a time; the structural rules (ptr-key, unordered-iter, hot-alloc,
+coro-ref-escape, pdes-static) read the parsed IR and fire on positive
+evidence only. Suppression is per-line via `// simcheck-allow: <rule>`
+(same line or the line above). Severity 'info' findings are reported and
+land in simcheck_state.json but never affect the exit status."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
+from pathlib import PurePosixPath
 
 from .model import Finding, Function, SourceModel
 
+
+@dataclass(frozen=True)
+class PatternRule:
+    """One per-line regex plus its directory gating, matched against the
+    directories of a file's path below the analyzed root.
+
+    only_dirs:   when non-empty, the rule fires only under one of these.
+    exempt_dirs: the rule never fires under any of these."""
+    name: str
+    pattern: re.Pattern
+    message: str
+    only_dirs: frozenset[str] = frozenset()
+    exempt_dirs: frozenset[str] = frozenset()
+
+    def applies_to(self, file: str) -> bool:
+        dirs = set(PurePosixPath(file).parent.parts)
+        if self.only_dirs and not (self.only_dirs & dirs):
+            return False
+        return not (self.exempt_dirs & dirs)
+
+
+# The determinism contract's banned constructs. The text keeps preprocessor
+# directives, so the `#include` arms see include lines.
+PATTERN_RULES = [
+    PatternRule(
+        "wall-clock",
+        re.compile(
+            r"std::chrono::(system_clock|steady_clock|high_resolution_clock)"
+            r"|(?<![\w.:>])(gettimeofday|clock_gettime|localtime|gmtime)\s*\("
+            r"|(?<![\w.:>])time\s*\(\s*(NULL|nullptr|0)?\s*\)"
+        ),
+        "wall-clock access in library code; simulated time comes from "
+        "sim::Engine::now()",
+    ),
+    PatternRule(
+        "randomness",
+        re.compile(
+            r"std::random_device"
+            r"|(?<![\w.:>])s?rand\s*\("
+        ),
+        "unseeded randomness; use the seeded generators in util/rng.hpp",
+    ),
+    PatternRule(
+        "threading",
+        re.compile(
+            r"std::(thread|jthread|async|launch|mutex|shared_mutex"
+            r"|recursive_mutex|timed_mutex|scoped_lock|lock_guard"
+            r"|unique_lock|shared_lock|condition_variable(_any)?"
+            r"|atomic\w*|future|shared_future|packaged_task|barrier"
+            r"|latch|counting_semaphore|binary_semaphore|stop_token"
+            r"|this_thread)\b"
+            r"|#\s*include\s*<(thread|atomic|mutex|shared_mutex|future"
+            r"|condition_variable|barrier|latch|semaphore|stop_token)>"
+        ),
+        "threading primitive in simulator code; a simulation is "
+        "single-threaded by contract — parallelism belongs between "
+        "simulations (src/sweep/) or between conservatively synchronized "
+        "partitions (src/sim/pdes/) only",
+        # The two places allowed to touch threads: the between-simulations
+        # sweep runner, and the conservative PDES executor whose channel /
+        # LBTS protocol keeps results bit-identical to sequential (see
+        # each header for why determinism survives).
+        exempt_dirs=frozenset({"sweep", "pdes"}),
+    ),
+    PatternRule(
+        "stdout",
+        re.compile(
+            r"std::(cout|cerr|clog)\b"
+            r"|(?<!\w)f?printf\s*\("
+            r"|(?<!\w)puts\s*\("
+        ),
+        "stdout/stderr output in library code; return data and let "
+        "bench/examples/tools print",
+    ),
+    PatternRule(
+        "fault-alloc",
+        re.compile(
+            r"std::(make_shared|make_unique|function)\b"
+            r"|(?<![\w.:>])(malloc|calloc|realloc)\s*\("
+            r"|(?<![\w:])new\s+[A-Za-z_:]"
+            r"|std::(mt19937(_64)?|default_random_engine|minstd_rand0?"
+            r"|uniform_(int|real)_distribution|bernoulli_distribution)\b"
+            r"|#\s*include\s*<random>"
+        ),
+        "heap allocation or non-portable RNG in src/fault; the injector's "
+        "verdict paths (packet_verdict, reg_should_fail) are called per "
+        "packet and must stay allocation-free, drawing only from the "
+        "pre-seeded util/rng.hpp streams sized at construction — "
+        "<random> distributions are not bit-portable across standard "
+        "libraries and would break cross-platform determinism",
+        # The chaos layer: packet_verdict / reg_should_fail sit on the
+        # per-packet data path.
+        only_dirs=frozenset({"fault"}),
+    ),
+    PatternRule(
+        "model-alloc",
+        re.compile(r"std::(make_shared|function)\b"),
+        "type-erased/shared allocation in src/model hot-path code; the "
+        "data path runs one pooled state machine per message (raw EventFn "
+        "continuations, freelist recycling) — per-message closures or "
+        "control-path code must carry an explicit simcheck-allow",
+        # The machine-model layer only; MPI devices and apps may use
+        # type-erased closures freely.
+        only_dirs=frozenset({"model"}),
+    ),
+]
+
 # Functions that anchor the simulator's per-event hot paths: the MsgFlow
 # packet machine, the fault injector's verdict paths, and the engine's
-# dispatch loop. Matched against Function.qname.
+# dispatch loop. Each entry names one function (matched against
+# Function.qname), so a root that stops resolving is reported by name.
 DEFAULT_HOT_ROOTS = [
-    r"NetFabric::(flow_step|deliver|lose_packet|arm_rto|resend_lost|"
-    r"fail_flow|rto_delay|release_flow)$",
+    r"NetFabric::flow_step$",
+    r"NetFabric::deliver$",
+    r"NetFabric::lose_packet$",
+    r"NetFabric::arm_rto$",
+    r"NetFabric::resend_lost$",
+    r"NetFabric::fail_flow$",
+    r"NetFabric::rto_delay$",
+    r"NetFabric::release_flow$",
     # Split-flow wire handlers: these run on the RECEIVING partition's
     # engine thread (dispatched by FabricExecutor), so any static they
     # reach is shared across partition threads, not just across engines.
-    r"NetFabric::(wire_handle|wire_open|wire_enter|wire_loss|wire_land|"
-    r"wire_close|launch_boundary_packet|finish_boundary_delivery)$",
-    r"FabricExecutor::(dispatch|deliver_batch|drain|loop)$",
+    r"NetFabric::wire_handle$",
+    r"NetFabric::wire_open$",
+    r"NetFabric::wire_enter$",
+    r"NetFabric::wire_loss$",
+    r"NetFabric::wire_land$",
+    r"NetFabric::wire_close$",
+    r"NetFabric::launch_boundary_packet$",
+    r"NetFabric::finish_boundary_delivery$",
+    r"FabricExecutor::dispatch$",
+    r"FabricExecutor::deliver_batch$",
+    r"FabricExecutor::drain$",
+    r"FabricExecutor::loop$",
     r"MsgFlow::thunk$",
-    r"Injector::(packet_verdict|reg_should_fail)$",
+    r"Injector::packet_verdict$",
+    r"Injector::reg_should_fail$",
     r"Engine::step$",
     # Fail-stop degradation fast path: once a link is learned dead every
     # later message on it terminates through these per-message — they are
     # as hot as delivery under a fail-stop plan. (learn_link_dead and the
     # fabrics' degrade_delay overrides are reached from fail_flow /
     # sender_loop and covered transitively.)
-    r"NetFabric::(abort_degraded|learn_link_dead|link_known_dead)$",
-    r"(IbFabric|GmFabric|ElanFabric)::degrade_delay$",
+    r"NetFabric::abort_degraded$",
+    r"NetFabric::learn_link_dead$",
+    r"NetFabric::link_known_dead$",
+    r"IbFabric::degrade_delay$",
+    r"GmFabric::degrade_delay$",
+    r"ElanFabric::degrade_delay$",
     # Per-message MPI device path: every MPI message runs these, so after
     # warm-up they must not allocate (request and record pools, inline
     # fabric callbacks, recycled matcher buckets, splicing LRUs). Error
     # teardown and deferred host actions carry audited allowances.
-    r"RdvChannel::(start_send|send_eager|send_rendezvous|send_shm|"
-    r"on_eager_arrival|on_shm_arrival|on_rts|on_cts)$",
-    r"ElanChannel::(start_send|on_arrival)$",
-    r"Matcher::(match_arrival|match_posted|post|add_unexpected)$",
+    r"RdvChannel::start_send$",
+    r"RdvChannel::send_eager$",
+    r"RdvChannel::send_rendezvous$",
+    r"RdvChannel::send_shm$",
+    r"RdvChannel::on_eager_arrival$",
+    r"RdvChannel::on_shm_arrival$",
+    r"RdvChannel::on_rts$",
+    r"RdvChannel::on_cts$",
+    r"ElanChannel::start_send$",
+    r"ElanChannel::on_arrival$",
+    r"Matcher::match_arrival$",
+    r"Matcher::match_posted$",
+    r"Matcher::post$",
+    r"Matcher::add_unexpected$",
     r"RequestState::complete$",
     r"NicTlb::access$",
     r"RegistrationCache::acquire$",
 ]
 
-# Callees that defer their lambda argument beyond the current frame — a
-# by-reference coroutine lambda handed to one of these escapes its scope.
-# Engine::run is NOT here: run() drains the simulation synchronously, so
+# Callees known to defer their lambda argument beyond the current frame;
+# they only sharpen coro-ref-escape's message, since every callee but
+# run() is an escape. Engine::run drains the simulation synchronously, so
 # the caller's frame outlives every event it schedules.
 DEFERRING_CALLEES = {
     "spawn", "at", "at_cancellable", "schedule", "post", "defer",
@@ -173,6 +315,30 @@ class CallGraph:
         return order
 
 
+def hot_root_functions(sm: SourceModel, patterns: list[str]
+                       ) -> list[Function]:
+    """Functions whose qname one of the hot-root patterns matches."""
+    pats = [re.compile(p) for p in patterns]
+    return sorted((f for f in sm.functions
+                   if any(p.search(f.qname) for p in pats)),
+                  key=lambda f: f.qname)
+
+
+# -- the pattern rules ------------------------------------------------------
+
+def rule_patterns(sm: SourceModel) -> list[Finding]:
+    out = []
+    for file, text in sm.stripped.items():
+        active = [r for r in PATTERN_RULES if r.applies_to(file)]
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            for r in active:
+                if r.pattern.search(line) and \
+                        not sm.allowed(r.name, file, line_no):
+                    out.append(Finding(rule=r.name, file=file, line=line_no,
+                                       message=r.message))
+    return out
+
+
 # -- rule 1: pointer-keyed containers ---------------------------------------
 
 def rule_ptr_key(sm: SourceModel) -> list[Finding]:
@@ -250,16 +416,12 @@ def _alloc_desc(kind: str) -> str:
     return ALLOC_DESC.get(kind, kind)
 
 
-def rule_hot_alloc(sm: SourceModel,
-                   hot_roots: list[str] | None = None) -> list[Finding]:
-    pats = [re.compile(p) for p in (hot_roots or DEFAULT_HOT_ROOTS)]
+def rule_hot_alloc(sm: SourceModel, roots: list[Function]) -> list[Finding]:
     cg = CallGraph(sm)
-    roots = [f for f in sm.functions
-             if any(p.search(f.qname) for p in pats)]
     out: list[Finding] = []
     flagged: set[str] = set()
     # BFS per root keeping the discovery chain for the report.
-    for root in sorted(roots, key=lambda f: f.qname):
+    for root in roots:
         chain: dict[int, str] = {id(root): root.qname}
         work = [root]
         seen = {id(root)}
@@ -288,27 +450,34 @@ def rule_hot_alloc(sm: SourceModel,
     return out
 
 
-# -- rule 4 (upgraded simlint rule): coroutine ref-capture escape -----------
+# -- rule 4: coroutine ref-capture escape -----------------------------------
 
 def _escapes(usage: str) -> str:
-    """Non-empty reason when a lambda usage escapes the current frame."""
-    if usage == "returned":
+    """Why a by-reference coroutine lambda may outlive its frame; '' for
+    the three same-frame idioms: co_awaited in place, passed directly to
+    run(), or bound with `auto name =` and only ever co_awaited."""
+    kind, _, what = usage.partition(":")
+    if kind in ("awaited_in_place", "run_arg", "named_awaited"):
+        return ""
+    if kind == "returned":
         return "is returned from the enclosing function"
-    if usage.startswith("arg:"):
-        callee = usage.split(":", 1)[1]
-        if callee in DEFERRING_CALLEES:
-            return f"is passed to {callee}(), which defers it beyond "\
-                   "the frame"
-    if usage.startswith("assigned:"):
-        target = usage.split(":", 1)[1]
-        if target.endswith("_"):
-            return f"is stored into member '{target}'"
-    return ""
+    if kind == "arg" and what in DEFERRING_CALLEES:
+        return f"is passed to {what}(), which defers it beyond the frame"
+    if kind == "arg":
+        return f"is passed to {what}(), which may defer it beyond the " \
+               "frame (only run() is known not to)"
+    if kind == "assigned" and what.endswith("_"):
+        return f"is stored into member '{what}'"
+    if kind == "named":
+        return f"is bound to '{what}', whose later uses are not all " \
+               "co_awaited"
+    return "is not co_awaited in place, passed to run(), or bound to a " \
+           "name that is only co_awaited"
 
 
 def rule_coro_ref_escape(sm: SourceModel) -> list[Finding]:
     out = []
-    for fn in sm.functions:
+    for fn in sm.functions + sm.initializers:
         for lam in fn.lambdas:
             if not (lam.by_ref and lam.is_coroutine):
                 continue
@@ -329,17 +498,12 @@ def rule_coro_ref_escape(sm: SourceModel) -> list[Finding]:
 
 # -- rule 5: PDES-readiness static audit ------------------------------------
 
-def pdes_audit(sm: SourceModel,
-               hot_roots: list[str] | None = None
+def pdes_audit(sm: SourceModel, roots: list[Function]
                ) -> tuple[list[Finding], list[dict]]:
     """Findings for mutable shared statics + the full state inventory
     (for simcheck_state.json), each entry with the event-handler roots
     that can reach it."""
-    pats = [re.compile(p) for p in (hot_roots or DEFAULT_HOT_ROOTS)]
     cg = CallGraph(sm)
-    roots = sorted((f for f in sm.functions
-                    if any(p.search(f.qname) for p in pats)),
-                   key=lambda f: f.qname)
     reach = {r.qname: cg.reachable(r) for r in roots}
 
     findings: list[Finding] = []
@@ -415,14 +579,16 @@ def pdes_audit(sm: SourceModel,
     return findings, inventory
 
 
-def run_all(sm: SourceModel, hot_roots: list[str] | None = None
+def run_all(sm: SourceModel, hot_roots: list[str]
             ) -> tuple[list[Finding], list[dict]]:
+    roots = hot_root_functions(sm, hot_roots)
     findings: list[Finding] = []
+    findings += rule_patterns(sm)
     findings += rule_ptr_key(sm)
     findings += rule_unordered_iter(sm)
-    findings += rule_hot_alloc(sm, hot_roots)
+    findings += rule_hot_alloc(sm, roots)
     findings += rule_coro_ref_escape(sm)
-    pdes, inventory = pdes_audit(sm, hot_roots)
+    pdes, inventory = pdes_audit(sm, roots)
     findings += pdes
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings, inventory
