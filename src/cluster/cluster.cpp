@@ -73,7 +73,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     }
     case Net::kMyrinet: {
       gm_cfg = gm::default_gm_config(cfg_.nodes);
-      if (cfg_.tweak_gm) cfg_.tweak_gm(gm_cfg);
       rdv_cc = mpi::default_ch_gm_config();
       if (cfg_.tweak_channel) cfg_.tweak_channel(rdv_cc);
       nic = gm_cfg.nic;
@@ -83,7 +82,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     }
     case Net::kQuadrics: {
       elan_cfg = elan::default_elan_config(cfg_.nodes);
-      if (cfg_.tweak_elan) cfg_.tweak_elan(elan_cfg);
       elan_cc = mpi::default_elan_channel_config();
       if (cfg_.tweak_elan_channel) cfg_.tweak_elan_channel(elan_cc);
       nic = elan_cfg.nic;

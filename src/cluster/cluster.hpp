@@ -86,8 +86,6 @@ struct ClusterConfig {
   // Ablation/calibration hooks: mutate the default hardware or channel
   // parameters before construction.
   std::function<void(ib::IbConfig&)> tweak_ib;
-  std::function<void(gm::GmConfig&)> tweak_gm;
-  std::function<void(elan::ElanConfig&)> tweak_elan;
   std::function<void(mpi::RdvChannelConfig&)> tweak_channel;
   std::function<void(mpi::ElanChannelConfig&)> tweak_elan_channel;
 };

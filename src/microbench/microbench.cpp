@@ -30,6 +30,9 @@ std::uint64_t recv_addr(int rank) {
 ClusterConfig pair_config(Net net, const Options& opt) {
   return ClusterConfig{.nodes = 2, .ppn = 1, .net = net, .bus = opt.bus};
 }
+ClusterConfig smp_config(Net net, const Options& opt) {
+  return ClusterConfig{.nodes = 1, .ppn = 2, .net = net, .bus = opt.bus};
+}
 
 /// Deterministic R%-reuse pattern: iteration i reuses the base buffer iff
 /// the cumulative reuse count stays at R per 100 iterations.
@@ -40,15 +43,24 @@ bool reuse_this_iter(int i, int reuse_percent) {
   return upto(i + 1) > upto(i);
 }
 
-}  // namespace
+/// `iters` ping-pong round trips between ranks 0 and 1.
+Task<> ping_pong(Comm& comm, View sbuf, View rbuf, int iters) {
+  for (int i = 0; i < iters; ++i) {
+    if (comm.rank() == 0) {
+      co_await comm.send(sbuf, 1, 0);
+      co_await comm.recv(rbuf, 1, 0);
+    } else {
+      co_await comm.recv(rbuf, 0, 0);
+      co_await comm.send(sbuf, 0, 0);
+    }
+  }
+}
 
-// --------------------------------------------------------------------------
-// Fig. 1: latency
-// --------------------------------------------------------------------------
-
-std::vector<Point> latency(Net net, std::vector<std::uint64_t> sizes,
-                           Options opt) {
-  Cluster c(pair_config(net, opt));
+/// One-way ping-pong latency (us) between the two ranks of `cfg`.
+std::vector<Point> ping_pong_latency(const ClusterConfig& cfg,
+                                     const std::vector<std::uint64_t>& sizes,
+                                     const Options& opt) {
+  Cluster c(cfg);
   std::vector<Point> out;
   for (const auto size : sizes) {
     double us = 0;
@@ -57,25 +69,9 @@ std::vector<Point> latency(Net net, std::vector<std::uint64_t> sizes,
       const View rbuf = View::synth(recv_addr(comm.rank()), size);
       co_await comm.barrier();
       // Warm-up (registration caches, NIC translations).
-      for (int i = 0; i < 5; ++i) {
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
+      co_await ping_pong(comm, sbuf, rbuf, 5);
       const double t0 = comm.wtime();
-      for (int i = 0; i < opt.iters; ++i) {
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
+      co_await ping_pong(comm, sbuf, rbuf, opt.iters);
       if (comm.rank() == 0) {
         us = (comm.wtime() - t0) / (2.0 * opt.iters) * 1e6;
       }
@@ -83,6 +79,17 @@ std::vector<Point> latency(Net net, std::vector<std::uint64_t> sizes,
     out.push_back({size, us});
   }
   return out;
+}
+
+}  // namespace
+
+// --------------------------------------------------------------------------
+// Fig. 1: latency
+// --------------------------------------------------------------------------
+
+std::vector<Point> latency(Net net, std::vector<std::uint64_t> sizes,
+                           Options opt) {
+  return ping_pong_latency(pair_config(net, opt), sizes, opt);
 }
 
 // --------------------------------------------------------------------------
@@ -158,25 +165,9 @@ std::vector<Point> host_overhead(Net net, std::vector<std::uint64_t> sizes,
       const View sbuf = View::synth(send_addr(comm.rank()), size);
       const View rbuf = View::synth(recv_addr(comm.rank()), size);
       co_await comm.barrier();
-      for (int i = 0; i < 5; ++i) {  // warm-up
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
+      co_await ping_pong(comm, sbuf, rbuf, 5);  // warm-up
       (comm.rank() == 0 ? before0 : before1) = comm.cpu().overhead_time();
-      for (int i = 0; i < opt.iters; ++i) {
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
+      co_await ping_pong(comm, sbuf, rbuf, opt.iters);
     });
     const Time total = (c.cpu(0).overhead_time() - before0) +
                        (c.cpu(1).overhead_time() - before1);
@@ -352,13 +343,7 @@ std::vector<Point> buffer_reuse_latency(Net net,
           fresh_s += stride;
           fresh_r += stride;
         }
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
+        co_await ping_pong(comm, sbuf, rbuf, 1);
       }
       if (comm.rank() == 0) {
         us = (comm.wtime() - t0) / (2.0 * opt.iters) * 1e6;
@@ -420,49 +405,10 @@ std::vector<Point> buffer_reuse_bandwidth(Net net,
 // Figs. 9/10: intra-node
 // --------------------------------------------------------------------------
 
-namespace {
-ClusterConfig smp_config(Net net, const Options& opt) {
-  return ClusterConfig{.nodes = 1, .ppn = 2, .net = net, .bus = opt.bus};
-}
-}  // namespace
-
 std::vector<Point> intranode_latency(Net net,
                                      std::vector<std::uint64_t> sizes,
                                      Options opt) {
-  Cluster c(smp_config(net, opt));
-  std::vector<Point> out;
-  for (const auto size : sizes) {
-    double us = 0;
-    c.run([&](Comm& comm) -> Task<> {
-      const View sbuf = View::synth(send_addr(comm.rank()), size);
-      const View rbuf = View::synth(recv_addr(comm.rank()), size);
-      co_await comm.barrier();
-      for (int i = 0; i < 5; ++i) {
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
-      const double t0 = comm.wtime();
-      for (int i = 0; i < opt.iters; ++i) {
-        if (comm.rank() == 0) {
-          co_await comm.send(sbuf, 1, 0);
-          co_await comm.recv(rbuf, 1, 0);
-        } else {
-          co_await comm.recv(rbuf, 0, 0);
-          co_await comm.send(sbuf, 0, 0);
-        }
-      }
-      if (comm.rank() == 0) {
-        us = (comm.wtime() - t0) / (2.0 * opt.iters) * 1e6;
-      }
-    });
-    out.push_back({size, us});
-  }
-  return out;
+  return ping_pong_latency(smp_config(net, opt), sizes, opt);
 }
 
 std::vector<Point> intranode_bandwidth(Net net,

@@ -41,18 +41,14 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
   co_await sp.cpu().busy(cfg_.o_send);
 
   const Envelope env = op.env;
-  const bool buffered = !op.synchronous && env.bytes <= cfg_.buffered_max;
+  const bool buffered = env.bytes <= cfg_.buffered_max;
   const int snode = mpi_->node_of(env.src);
   const int dnode = mpi_->node_of(env.dst);
 
-  // MPI_Ssend semantics: completion is tied to the receiver's match, not
-  // to delivery into the Elan system buffer, so only the receiver side
-  // holds a reference.
-  Msg* m = msgs_.acquire(snode, dnode, op.synchronous ? 1 : 2);
+  Msg* m = msgs_.acquire(snode, dnode, 2);
   m->env = env;
   m->req = op.req;
   m->src_view = op.buf;
-  m->sync = op.synchronous;
   m->send_done = false;
   // Buffered (small) sends may complete before delivery, so the payload
   // must be captured up front; large sends are zero-copy and the payload
@@ -70,9 +66,7 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
   nm.src_addr = op.buf.addr();
   nm.dst_addr = 0;  // final placement decided by NIC matching on arrival
   nm.complete_on_delivery = !buffered;
-  if (!op.synchronous) {
-    nm.local_complete = [this, m] { complete_send(m); };
-  }
+  nm.local_complete = [this, m] { complete_send(m); };
   nm.remote_arrival = [this, m] { on_arrival(m); };
   nm.on_failed = [this, m] { fail_send(m); };
   fabric_->post(std::move(nm));
@@ -86,13 +80,13 @@ void ElanChannel::complete_send(Msg* m) {
 
 void ElanChannel::fail_send(Msg* m) {
   // Elan hardware retry exhausted. Buffered sends already completed at
-  // NIC-clear; zero-copy and synchronous ones complete with the error
-  // here. The receiver learns of the failure through NIC matching (the
-  // error envelope), exactly where the data would have matched.
+  // NIC-clear; zero-copy ones complete with the error here. The receiver
+  // learns of the failure through NIC matching (the error envelope),
+  // exactly where the data would have matched.
   if (!m->send_done) {
     m->send_done = true;
     m->req->complete(error_status(m->env));
-    if (!m->sync) release(m);
+    release(m);
   }
   // Fires on the sender's partition; the receiver's matcher lives on
   // its own — route the error-envelope match there, handing it the
@@ -137,10 +131,6 @@ void ElanChannel::on_arrival(Msg* m) {
         copy_payload(m->src_view, pr->buf, n);
       }
     }
-    if (m->sync) {  // matched: ssend done
-      m->send_done = true;
-      m->req->complete(status_of(env));
-    }
     release(m);
     rp.cpu().accrue_overhead(cfg_.o_complete);
     // The scan + MMU work occupies the NIC processor, serializing with
@@ -169,10 +159,6 @@ sim::Task<void> ElanChannel::deliver(int dnode, sim::Time stall,
 }
 
 sim::Task<void> ElanChannel::claim(Msg* m, PostedRecv pr) {
-  if (m->sync) {
-    m->send_done = true;
-    m->req->complete(status_of(m->env));
-  }
   // Receiver claims from the system buffer: copy-out on the host.
   auto& rp = mpi_->proc(m->env.dst);
   const int dn = mpi_->node_of(m->env.dst);
@@ -202,7 +188,6 @@ void ElanChannel::on_failed_arrival(const Envelope& env) {
   Msg* m = msgs_.acquire(node, node, 1);
   m->env = env;
   m->req = nullptr;
-  m->sync = false;
   m->payload.clear();
   rp.matcher().add_unexpected(
       {env, [this, m](PostedRecv pr) { return claim_error(m, pr); }});

@@ -52,14 +52,12 @@ class ElanChannel final : public Device {
 
  private:
   /// One Tport message. References: the receiver side (NIC matching
-  /// through delivery or the unexpected claim) and, unless synchronous,
-  /// the sender side (local completion or failure). A synchronous send's
-  /// request completes on the receiver's match instead.
+  /// through delivery or the unexpected claim) and the sender side (local
+  /// completion or failure).
   struct Msg : PooledRecord<Msg> {
     Envelope env;
     RequestState* req = nullptr;  // the send request
     View src_view;
-    bool sync = false;
     bool send_done = false;
     std::vector<std::byte> payload;  // buffered or unexpected real data
   };

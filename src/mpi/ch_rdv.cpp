@@ -81,10 +81,7 @@ sim::Task<void> RdvChannel::start_send(SendOp op) {
   auto& sp = mpi_->proc(op.env.src);
   co_await sp.cpu().busy(cfg_.o_send);
   const bool intra = mpi_->same_node(op.env.src, op.env.dst);
-  if (op.synchronous) {
-    // MPI_Ssend: the rendezvous handshake IS the synchronization.
-    co_await send_rendezvous(std::move(op));
-  } else if (intra && op.env.bytes < cfg_.smp_threshold) {
+  if (intra && op.env.bytes < cfg_.smp_threshold) {
     co_await send_shm(std::move(op));
   } else if (op.env.bytes < cfg_.eager_threshold) {
     co_await send_eager(std::move(op));  // loopback when intra
@@ -293,18 +290,11 @@ sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
   const auto reg = regcache_(snode).try_acquire(op.buf.addr(), op.env.bytes);
   if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
   if (!reg.ok) {
-    if (!op.synchronous) {
-      // Pin-down failed: degrade to the copy-in eager path, which only
-      // needs the pre-registered staging buffers. Slower (extra copy),
-      // but the send makes progress.
-      co_await send_eager(std::move(op));
-      co_return;
-    }
-    // MPI_Ssend must keep the rendezvous handshake — model a retry of
-    // the (transient) registration failure.
-    const sim::Time retry =
-        regcache_(snode).acquire(op.buf.addr(), op.env.bytes);
-    if (retry > sim::Time::zero()) co_await sp.cpu().busy(retry);
+    // Pin-down failed: degrade to the copy-in eager path, which only
+    // needs the pre-registered staging buffers. Slower (extra copy), but
+    // the send makes progress.
+    co_await send_eager(std::move(op));
+    co_return;
   }
 
   Rdv* r = rdv_.acquire(snode, mpi_->node_of(op.env.dst), 1);

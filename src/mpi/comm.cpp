@@ -79,8 +79,12 @@ View Comm::slice(const View& v, std::uint64_t offset, std::uint64_t len) {
                       : View::in(v.data() + offset, len);
 }
 
+void Comm::check_rank(Rank r, const char* what) const {
+  if (r < 0 || r >= size()) throw std::invalid_argument(what);
+}
+
 sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
-  if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
+  check_rank(dst, "bad dest rank");
   buf = mpi_->canon(rank_, buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
@@ -98,6 +102,7 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
 }
 
 sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
+  if (src != kAnySource) check_rank(src, "bad source rank");
   buf = mpi_->canon(rank_, buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
@@ -117,7 +122,7 @@ sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
 }
 
 sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
-  if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
+  check_rank(dst, "bad dest rank");
   buf = mpi_->canon(rank_, buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
@@ -138,7 +143,7 @@ sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
 }
 
 sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
-  if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
+  check_rank(dst, "bad dest rank");
   buf = mpi_->canon(rank_, buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), true, buf.addr(), intra);
@@ -184,21 +189,12 @@ sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
   co_return st;
 }
 
-bool Comm::iprobe(Rank src, Tag tag, Status* status) {
-  auto& p = mpi_->proc(rank_);
-  sim::MpiScope scope(p.cpu());
-  p.drain_deferred();
-  const Unexpected* u = p.matcher().peek_unexpected(src, tag);
-  if (!u) return false;
-  if (status) *status = Status{u->env.src, u->env.tag, u->env.bytes};
-  return true;
-}
-
 sim::Task<Status> Comm::probe(Rank src, Tag tag) {
   // Real MPI_Probe spins in the progress engine; we poll at a fixed
   // cadence. A message that never arrives hangs here, exactly like the
   // real call (the engine reports it as a deadlock only if no other
   // event remains, since polling keeps the queue alive).
+  if (src != kAnySource) check_rank(src, "bad source rank");
   auto& p = mpi_->proc(rank_);
   for (;;) {
     {
@@ -210,27 +206,6 @@ sim::Task<Status> Comm::probe(Rank src, Tag tag) {
     }
     co_await p.cpu().busy(sim::Time::ns(200));  // poll cadence
   }
-}
-
-sim::Task<void> Comm::ssend(View buf, Rank dst, Tag tag) {
-  if (dst < 0 || dst >= size()) throw std::invalid_argument("bad dest rank");
-  buf = mpi_->canon(rank_, buf);
-  const bool intra = mpi_->same_node(rank_, dst);
-  mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
-  auto& p = mpi_->proc(rank_);
-  Request ret;
-  {
-    sim::MpiScope scope(p.cpu());
-    p.drain_deferred();
-    ret = Request(p.requests().make(&mpi_->request_ledger()));
-    SendOp op;
-    op.env = Envelope{rank_, dst, tag, buf.bytes()};
-    op.buf = buf;
-    op.synchronous = true;
-    op.req = ret.state();
-    co_await mpi_->device().start_send(std::move(op));
-  }
-  co_await wait(std::move(ret));
 }
 
 Tag Comm::next_coll_tag() {

@@ -52,15 +52,9 @@ class Comm {
                            Tag tag = kAnyTag);
   sim::Task<Status> wait(Request req);
   sim::Task<void> wait_all(std::vector<Request> reqs);
-  /// Non-blocking probe: peek the unexpected queue for a matching
-  /// envelope without receiving it (MPI_Iprobe).
-  bool iprobe(Rank src, Tag tag, Status* status = nullptr);
   /// Blocking probe: wait until a matching message has arrived
   /// (MPI_Probe). The message stays queued for a later recv.
   sim::Task<Status> probe(Rank src, Tag tag);
-  /// Synchronous send (MPI_Ssend): completes only once the receiver has
-  /// matched the message, regardless of size.
-  sim::Task<void> ssend(View buf, Rank dst, Tag tag);
   /// Combined exchange (MPI_Sendrecv): both directions in flight at once.
   sim::Task<Status> sendrecv(View sendbuf, Rank dst, Tag stag, View recvbuf,
                              Rank src, Tag rtag);
@@ -89,26 +83,6 @@ class Comm {
                             const std::vector<std::uint64_t>& send_counts,
                             View recvbuf,
                             const std::vector<std::uint64_t>& recv_counts);
-  sim::Task<void> allgather(View sendpart, View recvbuf,
-                            std::uint64_t per_rank);
-  sim::Task<void> gather(View sendpart, View recvbuf, std::uint64_t per_rank,
-                         Rank root);
-  sim::Task<void> scatter(View sendbuf, View recvpart,
-                          std::uint64_t per_rank, Rank root);
-  sim::Task<void> reduce_scatter_block(View buf, std::size_t count_per_rank,
-                                       Dtype dtype, ROp op, View out);
-  /// Inclusive prefix reduction (MPI_Scan): rank r ends with the
-  /// combination of ranks 0..r.
-  sim::Task<void> scan(View buf, std::size_t count, Dtype dtype, ROp op);
-  /// Variable-size gather/scatter (MPI_Gatherv / MPI_Scatterv); counts are
-  /// per-rank byte sizes, significant at the root on every rank for
-  /// offsets.
-  sim::Task<void> gatherv(View sendpart, View recvbuf,
-                          const std::vector<std::uint64_t>& counts,
-                          Rank root);
-  sim::Task<void> scatterv(View sendbuf,
-                           const std::vector<std::uint64_t>& counts,
-                           View recvpart, Rank root);
 
   /// Outcome of this rank's most recent collective. kErrNone, or
   /// kErrFabric when a transport error surfaced anywhere in the
@@ -129,16 +103,12 @@ class Comm {
   sim::Task<void> reduce_impl(View buf, std::size_t count, Dtype dtype, ROp op, Rank root);
   sim::Task<void> alltoall_impl(View sendbuf, View recvbuf, std::uint64_t per_rank);
   sim::Task<void> alltoallv_impl(View sendbuf, const std::vector<std::uint64_t>& send_counts, View recvbuf, const std::vector<std::uint64_t>& recv_counts);
-  sim::Task<void> allgather_impl(View sendpart, View recvbuf, std::uint64_t per_rank);
-  sim::Task<void> gather_impl(View sendpart, View recvbuf, std::uint64_t per_rank, Rank root);
-  sim::Task<void> scatter_impl(View sendbuf, View recvpart, std::uint64_t per_rank, Rank root);
-  sim::Task<void> reduce_scatter_block_impl(View buf, std::size_t count_per_rank, Dtype dtype, ROp op, View out);
-  sim::Task<void> scan_impl(View buf, std::size_t count, Dtype dtype, ROp op);
-  sim::Task<void> gatherv_impl(View sendpart, View recvbuf, const std::vector<std::uint64_t>& counts, Rank root);
-  sim::Task<void> scatterv_impl(View sendbuf, const std::vector<std::uint64_t>& counts, View recvpart, Rank root);
 
   sim::Task<Request> isend_impl(View buf, Rank dst, Tag tag);
   sim::Task<Request> irecv_impl(View buf, Rank src, Tag tag);
+  /// Throws std::invalid_argument (message `what`) unless `r` is a rank
+  /// of this job.
+  void check_rank(Rank r, const char* what) const;
   /// Subview helper for collective algorithms on real/synthetic buffers.
   static View slice(const View& v, std::uint64_t offset, std::uint64_t len);
   /// Next collective tag/slot id (same sequence on every rank).
@@ -154,6 +124,19 @@ class Comm {
   sim::Task<int> bcast_p2p(View buf, Rank root, Tag tag);
   sim::Task<int> reduce_p2p(View buf, std::size_t count, Dtype dtype, ROp op,
                             Rank root, Tag tag);
+  /// Hardware broadcast of `buf` from `root` through collective #seq's
+  /// slot: the root stages the payload and fires the device broadcast,
+  /// every rank waits for it, the others copy the payload out, and the
+  /// last rank to leave drops the slot.
+  sim::Task<void> hw_bcast_slot(std::uint64_t seq, View buf, Rank root);
+  /// MPICH's small/medium alltoall exchange: copy the self-block, post
+  /// every receive, then every send, then wait for all. `send_block(r)`
+  /// and `recv_block(r)` are the views exchanged with rank r; an empty
+  /// block travels as no message at all. Returns the error envelope like
+  /// the building blocks above.
+  template <class SendBlock, class RecvBlock>
+  sim::Task<int> exchange(Tag tag, SendBlock send_block,
+                          RecvBlock recv_block);
   /// Two-sweep deterministic error agreement (fail-stop plans only).
   /// Each sweep is a binomial fan-in to rank 0 followed by a binomial
   /// fan-out; the error bit travels in the token SIZE (1 byte = clean,

@@ -117,7 +117,7 @@ MNS_HOT void Engine::spawn(Task<> t, bool daemon) {
   if (!daemon) ++live_;
   // Start through the queue at the current time (spawn order = start
   // order) on the resume fast path — no closure, no boxing.
-  resume_at(now_, root.handle);
+  at(now_, EventFn::resume(root.handle));
 }
 
 bool Engine::step() {
@@ -199,24 +199,6 @@ void Engine::run() {
     }
   }
   if (live_ > 0) throw DeadlockError(live_);
-}
-
-bool Engine::run_until(Time deadline) {
-  for (;;) {
-    // next_event_at_ps() purges cancelled tombstones off the queue top,
-    // so the deadline test sees the time of an event that will actually
-    // run — a tombstone at t <= deadline must not admit a live event
-    // beyond it.
-    const std::int64_t next_at = next_event_at_ps();
-    if (next_at == INT64_MAX) return true;
-    if (next_at > deadline.count_ps()) return false;
-    step();
-    if (failure_) {
-      auto e = failure_;
-      failure_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
 }
 
 std::int64_t Engine::next_event_at_ps() {

@@ -315,12 +315,9 @@ class alignas(64) Engine {
     return true;
   }
 
-  /// Coroutine-resume fast paths: no closure, no allocation.
+  /// Coroutine-resume fast path: no closure, no allocation.
   void resume_after(Time delay, std::coroutine_handle<> h) {
     at(now_ + delay, EventFn::resume(h));
-  }
-  void resume_at(Time when, std::coroutine_handle<> h) {
-    at(when, EventFn::resume(h));
   }
 
   /// Pre-size the event queue for at least `n` concurrently pending events
@@ -356,10 +353,6 @@ class alignas(64) Engine {
   /// any process, or DeadlockError if processes remain blocked.
   void run();
 
-  /// Run until simulated time would exceed `deadline` (events at exactly
-  /// `deadline` still run). Returns true if the queue drained.
-  bool run_until(Time deadline);
-
   std::size_t live_processes() const { return live_; }
   std::uint64_t events_processed() const { return events_processed_; }
   std::uint64_t events_cancelled() const { return events_cancelled_; }
@@ -382,14 +375,13 @@ class alignas(64) Engine {
   /// Rethrows the first failure escaping a process.
   bool step_one();
 
-  /// Abort run()/run_until() with EventLimitError after this many events
+  /// Abort run() with EventLimitError after this many events
   /// (default: effectively unlimited).
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
 
   /// Progress watchdog: abort with LivelockError the moment an event past
-  /// `deadline` would run (default: no limit). Unlike run_until — which
-  /// returns control with the queue intact — crossing this horizon is a
-  /// hard failure: it converts a runaway simulation (RTO storm, unbounded
+  /// `deadline` would run (default: no limit). Crossing this horizon is
+  /// a hard failure: it converts a runaway simulation (RTO storm, unbounded
   /// poll) into a clean diagnostic instead of an unbounded wall-clock
   /// hang. Works identically under the PDES executor, where each
   /// partition's engine checks its own clock.

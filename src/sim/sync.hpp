@@ -3,13 +3,12 @@
 // All wake-ups go through the engine's event queue (zero-delay events), so
 // the order in which blocked coroutines resume is deterministic and no
 // resume happens inside the notifier's stack frame. Hand-off is direct:
-// a sender/releaser assigns its message/token to a specific waiter, so a
-// third party arriving between notify and resume cannot steal it.
+// a sender assigns its message to a specific waiter, so a third party
+// arriving between notify and resume cannot steal it.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -164,82 +163,6 @@ class Mailbox {
   Engine* eng_;
   Fifo<T> queue_;
   Fifo<Waiter*> waiters_;
-};
-
-/// Counting semaphore with direct token hand-off.
-class Semaphore {
- public:
-  Semaphore(Engine& eng, std::size_t initial) : eng_(&eng), count_(initial) {}
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore& s;
-      bool handed_off = false;
-      bool await_ready() const noexcept {
-        return s.count_ > 0 && s.waiters_.empty();
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        s.waiters_.push_back({h, &handed_off});
-      }
-      void await_resume() noexcept {
-        if (!handed_off) --s.count_;  // token taken from the free pool
-      }
-    };
-    return Awaiter{*this};
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      auto [h, flag] = waiters_.front();
-      waiters_.pop_front();
-      *flag = true;  // token handed directly to this waiter
-      eng_->resume_after(Time::zero(), h);
-      return;
-    }
-    ++count_;
-  }
-
-  std::size_t available() const { return count_; }
-
- private:
-  struct Entry {
-    std::coroutine_handle<> handle;
-    bool* handed_off;
-  };
-  Engine* eng_;
-  std::size_t count_;
-  std::deque<Entry> waiters_;
-};
-
-/// Reusable barrier for `n` participants (used in tests and by the
-/// benchmark drivers to align phases; MPI_Barrier is implemented in the MPI
-/// layer with real messages, not with this).
-class SimBarrier {
- public:
-  SimBarrier(Engine& eng, std::size_t n) : eng_(&eng), n_(n) {}
-
-  auto arrive_and_wait() {
-    struct Awaiter {
-      SimBarrier& b;
-      bool await_ready() const noexcept { return b.n_ == 1; }
-      void await_suspend(std::coroutine_handle<> h) {
-        b.waiters_.push_back(h);
-        if (b.waiters_.size() == b.n_) {
-          for (auto w : b.waiters_) {
-            b.eng_->resume_after(Time::zero(), w);
-          }
-          b.waiters_.clear();
-        }
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Engine* eng_;
-  std::size_t n_;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace mns::sim

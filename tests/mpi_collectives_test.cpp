@@ -133,61 +133,6 @@ TEST_P(CollAllNets, AlltoallPermutesBlocks) {
   }
 }
 
-TEST_P(CollAllNets, AllgatherCollectsAll) {
-  ClusterConfig cfg{.nodes = 8, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::vector<std::int32_t>> got(8, std::vector<std::int32_t>(8));
-  c.run([&got](Comm& comm) -> Task<> {
-    std::int32_t mine = comm.rank() * 7;
-    auto& recv = got[static_cast<std::size_t>(comm.rank())];
-    co_await comm.allgather(View::in(&mine, 4),
-                            View::out(recv.data(), recv.size() * 4), 4);
-  });
-  for (int r = 0; r < 8; ++r) {
-    for (int s = 0; s < 8; ++s) EXPECT_EQ(got[r][s], s * 7) << r;
-  }
-}
-
-TEST_P(CollAllNets, GatherScatterRoundTrip) {
-  ClusterConfig cfg{.nodes = 4, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::int32_t> scattered(4, -1);
-  c.run([&scattered](Comm& comm) -> Task<> {
-    const int p = comm.size();
-    std::vector<std::int32_t> gathered(static_cast<std::size_t>(p), -1);
-    std::int32_t mine = comm.rank() + 1;
-    co_await comm.gather(View::in(&mine, 4),
-                         View::out(gathered.data(), gathered.size() * 4), 4,
-                         0);
-    if (comm.rank() == 0) {
-      for (auto& g : gathered) g *= 2;
-    }
-    std::int32_t back = -1;
-    co_await comm.scatter(View::in(gathered.data(), gathered.size() * 4),
-                          View::out(&back, 4), 4, 0);
-    scattered[static_cast<std::size_t>(comm.rank())] = back;
-  });
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(scattered[r], 2 * (r + 1));
-}
-
-TEST_P(CollAllNets, ReduceScatterBlock) {
-  ClusterConfig cfg{.nodes = 4, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::int32_t> got(4, -1);
-  c.run([&got](Comm& comm) -> Task<> {
-    const int p = comm.size();
-    std::vector<std::int32_t> buf(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) buf[i] = comm.rank() + i;
-    std::int32_t out = -1;
-    co_await comm.reduce_scatter_block(View::out(buf.data(), buf.size() * 4),
-                                       1, Dtype::kInt32, ROp::kSum,
-                                       View::out(&out, 4));
-    got[static_cast<std::size_t>(comm.rank())] = out;
-  });
-  // sum over ranks of (r + i) = 6 + 4i for block i.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], 6 + 4 * i);
-}
-
 TEST_P(CollAllNets, CollectivesWorkWithSyntheticViews) {
   ClusterConfig cfg{.nodes = 8, .net = GetParam()};
   Cluster c(cfg);

@@ -1,4 +1,5 @@
-// Extended MPI API: probe/iprobe, ssend, scan, gatherv/scatterv.
+// Extended MPI API: probe (blocking, with wildcards) and early completion
+// of a small eager send.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -32,16 +33,22 @@ INSTANTIATE_TEST_SUITE_P(AllNets, ExtAllNets,
 
 TEST_P(ExtAllNets, ProbeThenRecvBySize) {
   // The classic probe use: learn the size, then size the receive buffer.
+  // The sender starts late, so the probe must see the message only once
+  // it has been delivered, not answer from an empty queue.
   ClusterConfig cfg{.nodes = 2, .net = GetParam()};
   Cluster c(cfg);
   std::vector<std::int32_t> got;
-  c.run([&got](Comm& comm) -> Task<> {
+  double sent_at = 0, probed_at = 0;
+  c.run([&](Comm& comm) -> Task<> {
     if (comm.rank() == 0) {
+      co_await comm.compute(50e-6);
       std::vector<std::int32_t> data(37);
       std::iota(data.begin(), data.end(), 5);
+      sent_at = comm.wtime();
       co_await comm.send(View::in(data.data(), data.size() * 4), 1, 9);
     } else {
       const auto st = co_await comm.probe(0, 9);
+      probed_at = comm.wtime();
       EXPECT_EQ(st.bytes, 37u * 4);
       got.resize(st.bytes / 4);
       co_await comm.recv(View::out(got.data(), st.bytes), 0, 9);
@@ -51,55 +58,13 @@ TEST_P(ExtAllNets, ProbeThenRecvBySize) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], static_cast<std::int32_t>(i) + 5);
   }
-}
-
-TEST_P(ExtAllNets, IprobeSeesArrivalOnlyAfterDelivery) {
-  ClusterConfig cfg{.nodes = 2, .net = GetParam()};
-  Cluster c(cfg);
-  bool before = true, after = false;
-  c.run([&](Comm& comm) -> Task<> {
-    if (comm.rank() == 0) {
-      co_await comm.compute(50e-6);
-      int v = 1;
-      co_await comm.send(View::in(&v, 4), 1, 3);
-    } else {
-      before = comm.iprobe(0, 3);  // nothing sent yet
-      co_await comm.compute(500e-6);
-      after = comm.iprobe(0, 3);  // message waiting by now
-      int v = 0;
-      co_await comm.recv(View::out(&v, 4), 0, 3);
-      EXPECT_FALSE(comm.iprobe(0, 3));  // consumed
-    }
-  });
-  EXPECT_FALSE(before);
-  EXPECT_TRUE(after);
-}
-
-TEST_P(ExtAllNets, SsendWaitsForReceiver) {
-  // A small ssend must NOT complete before the receiver shows up —
-  // unlike a buffered eager send.
-  ClusterConfig cfg{.nodes = 2, .net = GetParam()};
-  Cluster c(cfg);
-  double send_done = 0, recv_posted_at = 0;
-  c.run([&](Comm& comm) -> Task<> {
-    if (comm.rank() == 0) {
-      int v = 7;
-      co_await comm.ssend(View::in(&v, 4), 1, 0);
-      send_done = comm.wtime();
-    } else {
-      co_await comm.compute(300e-6);  // make the sender wait
-      recv_posted_at = comm.wtime();
-      int v = 0;
-      co_await comm.recv(View::out(&v, 4), 0, 0);
-      EXPECT_EQ(v, 7);
-    }
-  });
-  EXPECT_GE(send_done, recv_posted_at);
-  EXPECT_GT(send_done, 290e-6);
+  // Delivery takes at least a wire latency (microseconds on every net).
+  EXPECT_GE(probed_at, sent_at + 1e-6);
 }
 
 TEST_P(ExtAllNets, PlainSmallSendDoesNotWait) {
-  // Contrast with ssend: the eager path buffers and returns early.
+  // A small send takes the eager path: it buffers and returns before the
+  // receiver shows up.
   ClusterConfig cfg{.nodes = 2, .net = GetParam()};
   Cluster c(cfg);
   double send_done = 1.0;
@@ -115,62 +80,6 @@ TEST_P(ExtAllNets, PlainSmallSendDoesNotWait) {
     }
   });
   EXPECT_LT(send_done, 100e-6);
-}
-
-TEST_P(ExtAllNets, ScanComputesPrefixSums) {
-  ClusterConfig cfg{.nodes = 8, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::int64_t> got(8, -1);
-  c.run([&got](Comm& comm) -> Task<> {
-    std::int64_t v = comm.rank() + 1;
-    co_await comm.scan(View::out(&v, 8), 1, mpi::Dtype::kInt64,
-                       mpi::ROp::kSum);
-    got[static_cast<std::size_t>(comm.rank())] = v;
-  });
-  for (int r = 0; r < 8; ++r) {
-    EXPECT_EQ(got[r], static_cast<std::int64_t>(r + 1) * (r + 2) / 2);
-  }
-}
-
-TEST_P(ExtAllNets, GathervVariableBlocks) {
-  ClusterConfig cfg{.nodes = 4, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::int32_t> at_root;
-  c.run([&at_root](Comm& comm) -> Task<> {
-    const int p = comm.size();
-    // Rank r contributes r+1 ints of value r.
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(p));
-    std::uint64_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      counts[r] = static_cast<std::uint64_t>(r + 1) * 4;
-      total += counts[r];
-    }
-    std::vector<std::int32_t> mine(static_cast<std::size_t>(comm.rank() + 1),
-                                   comm.rank());
-    std::vector<std::int32_t> all(total / 4, -1);
-    co_await comm.gatherv(View::in(mine.data(), mine.size() * 4),
-                          View::out(all.data(), total), counts, 2);
-    if (comm.rank() == 2) at_root = all;
-  });
-  // Layout: [0][1,1][2,2,2][3,3,3,3]
-  const std::vector<std::int32_t> expect{0, 1, 1, 2, 2, 2, 3, 3, 3, 3};
-  EXPECT_EQ(at_root, expect);
-}
-
-TEST_P(ExtAllNets, ScattervRoundTripsGatherv) {
-  ClusterConfig cfg{.nodes = 4, .net = GetParam()};
-  Cluster c(cfg);
-  std::vector<std::int32_t> received(4, -1);
-  c.run([&received](Comm& comm) -> Task<> {
-    const int p = comm.size();
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(p), 4);
-    std::vector<std::int32_t> all{10, 11, 12, 13};
-    std::int32_t mine = -1;
-    co_await comm.scatterv(View::in(all.data(), 16), counts,
-                           View::out(&mine, 4), 0);
-    received[static_cast<std::size_t>(comm.rank())] = mine;
-  });
-  EXPECT_EQ(received, (std::vector<std::int32_t>{10, 11, 12, 13}));
 }
 
 TEST_P(ExtAllNets, ProbeWithWildcards) {

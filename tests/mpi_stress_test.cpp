@@ -196,6 +196,53 @@ TEST(MpiMisuse, AlltoallvBadCountsThrow) {
       std::invalid_argument);
 }
 
+// Rank arguments are checked the way send checks its destination. An
+// unchecked bcast root of size() ran as root 0 on InfiniBand and Myrinet
+// and deadlocked on Quadrics (the hardware path waits for a root that never
+// broadcasts); a receive from rank size() never matched. The time limit
+// turns a probe that would poll forever into an error as well.
+void expect_bad_rank(Net net, const Cluster::RankMain& rank_main) {
+  SCOPED_TRACE(static_cast<int>(net));
+  ClusterConfig cfg{.nodes = 2, .net = net, .max_sim_time = sim::Time::ms(1)};
+  Cluster c(cfg);
+  EXPECT_THROW(c.run(rank_main), std::invalid_argument);
+}
+
+TEST(MpiMisuse, RootOutOfRangeThrows) {
+  for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
+    for (const mpi::Rank root : {-1, 2}) {
+      SCOPED_TRACE(root);
+      expect_bad_rank(net, [root](Comm& comm) -> Task<> {
+        co_await comm.bcast(View::synth(1, 64), root);
+      });
+      expect_bad_rank(net, [root](Comm& comm) -> Task<> {
+        co_await comm.reduce(View::synth(1, 64), 8, mpi::Dtype::kDouble,
+                             mpi::ROp::kSum, root);
+      });
+    }
+  }
+}
+
+TEST(MpiMisuse, SourceOutOfRangeThrows) {
+  for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
+    for (const mpi::Rank src : {-1, 2}) {
+      SCOPED_TRACE(src);
+      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.recv(View::synth(1, 64), src, 0);
+      });
+      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          Request r = co_await comm.irecv(View::synth(1, 64), src, 0);
+          co_await comm.wait(r);
+        }
+      });
+      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.probe(src, 0);
+      });
+    }
+  }
+}
+
 TEST(MpiMisuse, UnmatchedRecvDeadlocks) {
   // A receive with no sender must surface as a simulation deadlock, not a
   // hang or silent completion.

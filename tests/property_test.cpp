@@ -79,31 +79,6 @@ TEST_P(SeededProperty, PipeConservesBytesAndNeverOverlaps) {
   EXPECT_EQ(done_order.size(), static_cast<std::size_t>(n));
 }
 
-TEST_P(SeededProperty, SemaphoreNeverOvergrantsUnderChurn) {
-  Engine eng;
-  const std::size_t permits = 3;
-  sim::Semaphore sem(eng, permits);
-  util::Rng rng(GetParam() ^ 0xBEEF);
-  int active = 0;
-  int peak = 0;
-  for (int i = 0; i < 80; ++i) {
-    eng.spawn([](Engine& e, sim::Semaphore& s, int& active, int& peak,
-                 std::uint64_t start_ns, std::uint64_t hold_ns) -> Task<> {
-      co_await e.delay(Time::ns(static_cast<std::int64_t>(start_ns)));
-      co_await s.acquire();
-      ++active;
-      peak = std::max(peak, active);
-      co_await e.delay(Time::ns(static_cast<std::int64_t>(1 + hold_ns)));
-      --active;
-      s.release();
-    }(eng, sem, active, peak, rng.below(5000), rng.below(800)));
-  }
-  eng.run();
-  EXPECT_LE(peak, static_cast<int>(permits));
-  EXPECT_EQ(active, 0);
-  EXPECT_EQ(sem.available(), permits);
-}
-
 TEST_P(SeededProperty, MailboxDeliversEverythingExactlyOnce) {
   Engine eng;
   sim::Mailbox<int> mb(eng);

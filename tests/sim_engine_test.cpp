@@ -189,25 +189,9 @@ TEST(Engine, MultipleProcessesInterleave) {
   EXPECT_EQ(log[5], (std::pair{2, Time::us(9)}));
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine eng;
-  int ticks = 0;
-  eng.spawn([](Engine& e, int& t) -> Task<> {
-    for (int i = 0; i < 100; ++i) {
-      co_await e.delay(Time::us(1));
-      ++t;
-    }
-  }(eng, ticks));
-  EXPECT_FALSE(eng.run_until(Time::us(10)));
-  EXPECT_EQ(ticks, 10);
-  EXPECT_TRUE(eng.run_until(Time::ms(1)));
-  EXPECT_EQ(ticks, 100);
-}
-
 TEST(Engine, TimeLimitConvertsOverrunIntoLivelockError) {
-  // Unlike run_until (which parks cleanly at the deadline), the time
-  // limit is a watchdog: crossing it is an error carrying a diagnostic
-  // of where the clock stood and what was still pending.
+  // The time limit is a watchdog: crossing it is an error carrying a
+  // diagnostic of where the clock stood and what was still pending.
   Engine eng;
   eng.set_time_limit(Time::us(10));
   int ran = 0;
@@ -477,23 +461,6 @@ TEST(EngineStep, StepOneRethrowsHandlerFailure) {
   Engine eng;
   eng.after(Time::us(1), [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(eng.step_one(), std::runtime_error);
-}
-
-// Regression: a cancelled event sitting at the queue head inside the
-// deadline used to let run_until() enter step(), which skips tombstones
-// and would execute the next *live* event even if it lay beyond the
-// deadline.
-TEST(Engine, RunUntilIgnoresCancelledHeadAtDeadline) {
-  Engine eng;
-  const EventId ghost =
-      eng.at_cancellable(Time::us(5), EventFn::make([] {}));
-  bool late_ran = false;
-  eng.after(Time::us(20), [&] { late_ran = true; });
-  ASSERT_TRUE(eng.cancel(ghost));
-  EXPECT_FALSE(eng.run_until(Time::us(10)));
-  EXPECT_FALSE(late_ran) << "event beyond the deadline executed";
-  EXPECT_TRUE(eng.run_until(Time::us(30)));
-  EXPECT_TRUE(late_ran);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,92 +114,4 @@ TEST(Mailbox, ManyMessagesStress) {
   EXPECT_EQ(sum, static_cast<long>(n) * (n + 1) / 2);
 }
 
-TEST(Semaphore, LimitsConcurrency) {
-  Engine eng;
-  Semaphore sem(eng, 2);
-  int active = 0, peak = 0;
-  auto worker = [](Engine& e, Semaphore& s, int& active, int& peak) -> Task<> {
-    co_await s.acquire();
-    ++active;
-    peak = std::max(peak, active);
-    co_await e.delay(Time::us(10));
-    --active;
-    s.release();
-  };
-  for (int i = 0; i < 6; ++i) eng.spawn(worker(eng, sem, active, peak));
-  eng.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(active, 0);
-  EXPECT_EQ(sem.available(), 2u);
-  // 6 workers, 2 at a time, 10us each => 30us.
-  EXPECT_EQ(eng.now(), Time::us(30));
-}
-
-TEST(Semaphore, DirectHandoffNoOvergrant) {
-  Engine eng;
-  Semaphore sem(eng, 1);
-  int holders = 0;
-  bool violated = false;
-  auto worker = [](Engine& e, Semaphore& s, int& holders,
-                   bool& violated) -> Task<> {
-    co_await s.acquire();
-    ++holders;
-    if (holders > 1) violated = true;
-    co_await e.delay(Time::us(1));
-    --holders;
-    s.release();
-  };
-  for (int i = 0; i < 5; ++i) eng.spawn(worker(eng, sem, holders, violated));
-  eng.run();
-  EXPECT_FALSE(violated);
-}
-
-TEST(SimBarrier, AlignsProcesses) {
-  Engine eng;
-  SimBarrier bar(eng, 3);
-  std::vector<Time> crossed;
-  auto proc = [](Engine& e, SimBarrier& b, std::vector<Time>& out,
-                 Time warmup) -> Task<> {
-    co_await e.delay(warmup);
-    co_await b.arrive_and_wait();
-    out.push_back(e.now());
-  };
-  eng.spawn(proc(eng, bar, crossed, Time::us(1)));
-  eng.spawn(proc(eng, bar, crossed, Time::us(7)));
-  eng.spawn(proc(eng, bar, crossed, Time::us(3)));
-  eng.run();
-  ASSERT_EQ(crossed.size(), 3u);
-  for (const auto t : crossed) EXPECT_EQ(t, Time::us(7));
-}
-
-TEST(SimBarrier, ReusableAcrossPhases) {
-  Engine eng;
-  SimBarrier bar(eng, 2);
-  std::vector<int> phases;
-  auto proc = [](Engine& e, SimBarrier& b, std::vector<int>& out,
-                 Time step) -> Task<> {
-    for (int phase = 0; phase < 3; ++phase) {
-      co_await e.delay(step);
-      co_await b.arrive_and_wait();
-      out.push_back(phase);
-    }
-  };
-  eng.spawn(proc(eng, bar, phases, Time::us(1)));
-  eng.spawn(proc(eng, bar, phases, Time::us(2)));
-  eng.run();
-  EXPECT_EQ(phases, (std::vector<int>{0, 0, 1, 1, 2, 2}));
-}
-
-TEST(SimBarrier, SingleParticipantNeverBlocks) {
-  Engine eng;
-  SimBarrier bar(eng, 1);
-  bool done = false;
-  eng.spawn([](SimBarrier& b, bool& done) -> Task<> {
-    co_await b.arrive_and_wait();
-    done = true;
-  }(bar, done));
-  eng.run();
-  EXPECT_TRUE(done);
-}
-
 }  // namespace

@@ -3,12 +3,13 @@
 #
 # Usage: tools/check_goldens.sh BENCH_DIR [JOBS]
 #
-# artifacts/<binary>.txt is the default-flag stdout of one bench binary
-# (every binary in BENCH_DIR except perf_engine). Each binary is re-run at
-# --jobs=JOBS (default: the core count; calibrate takes no flags) and its
-# stdout must match the golden byte for byte: results do not depend on
-# --jobs, so any difference is a change to the artifact itself. A binary
-# without a golden, or a golden without a binary, fails too.
+# artifacts/<binary>.txt is the default-flag (serial, --jobs=1) stdout of
+# one bench binary (every binary in BENCH_DIR except perf_engine). Each
+# binary is re-run at --jobs=JOBS (default: the core count; calibrate
+# takes no flags) and its stdout must match the golden byte for byte:
+# results do not depend on --jobs, so any difference is a change to the
+# artifact itself. A binary without a golden, or a golden without a
+# binary, fails too.
 # Exit status: 0 all match, 1 a mismatch or missing file, 2 usage.
 set -u
 
