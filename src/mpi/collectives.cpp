@@ -254,12 +254,9 @@ sim::Task<void> Comm::alltoall_impl(View sendbuf, View recvbuf,
   recvbuf = mpi_->canon(rank_, recvbuf);
   mpi_->recorder().on_collective(rank_, sendbuf.bytes(), sendbuf.addr());
   const Tag tag = next_coll_tag();
-  const auto block = [per_rank](const View& v, Rank r) {
-    return slice(v, static_cast<std::uint64_t>(r) * per_rank, per_rank);
-  };
   const int err = co_await exchange(
-      tag, [&](Rank r) { return block(sendbuf, r); },
-      [&](Rank r) { return block(recvbuf, r); });
+      tag, [&](Rank r) { return slice(sendbuf, r * per_rank, per_rank); },
+      [&](Rank r) { return slice(recvbuf, r * per_rank, per_rank); });
   co_await finish_collective(tag, err);
 }
 
