@@ -1,11 +1,13 @@
-// Extended MPI API: probe (blocking, with wildcards) and early completion
-// of a small eager send.
+// Extended MPI API: probe (blocking, with wildcards), the non-blocking
+// matcher peek under it, and early completion of a small eager send.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "mpi/mpi.hpp"
+#include "mpi/proc.hpp"
 
 namespace {
 
@@ -60,6 +62,37 @@ TEST_P(ExtAllNets, ProbeThenRecvBySize) {
   }
   // Delivery takes at least a wire latency (microseconds on every net).
   EXPECT_GE(probed_at, sent_at + 1e-6);
+}
+
+TEST_P(ExtAllNets, IprobeSeesArrivalOnlyAfterDelivery) {
+  // A non-blocking probe is the matcher peek `probe` polls, taken on MPI
+  // entry: deferred deliveries drain first, then the unexpected queue is
+  // read without consuming anything.
+  ClusterConfig cfg{.nodes = 2, .net = GetParam()};
+  Cluster c(cfg);
+  const auto iprobe = [&c](Comm& comm, mpi::Rank src, mpi::Tag tag) {
+    auto& p = c.mpi().proc(comm.rank());
+    sim::MpiScope scope(p.cpu());
+    p.drain_deferred();
+    return p.matcher().peek_unexpected(src, tag) != nullptr;
+  };
+  bool before = true, after = false;
+  c.run([&](Comm& comm) -> Task<> {
+    if (comm.rank() == 0) {
+      co_await comm.compute(50e-6);
+      int v = 1;
+      co_await comm.send(View::in(&v, 4), 1, 3);
+    } else {
+      before = iprobe(comm, 0, 3);  // nothing sent yet
+      co_await comm.compute(500e-6);
+      after = iprobe(comm, 0, 3);  // message waiting by now
+      int v = 0;
+      co_await comm.recv(View::out(&v, 4), 0, 3);
+      EXPECT_FALSE(iprobe(comm, 0, 3));  // consumed
+    }
+  });
+  EXPECT_FALSE(before);
+  EXPECT_TRUE(after);
 }
 
 TEST_P(ExtAllNets, PlainSmallSendDoesNotWait) {
