@@ -1,24 +1,23 @@
 #!/bin/sh
 # Regenerate every paper artifact and compare it with its committed golden.
 #
-# Usage: tools/check_goldens.sh BENCH_DIR [JOBS]
+# Usage: tools/check_goldens.sh BENCH_DIR
 #
 # artifacts/<binary>.txt is the default-flag (serial, --jobs=1) stdout of
 # one bench binary (every binary in BENCH_DIR except perf_engine). Each
-# binary is re-run at --jobs=JOBS (default: the core count; calibrate
-# takes no flags) and its stdout must match the golden byte for byte:
-# results do not depend on --jobs, so any difference is a change to the
-# artifact itself. A binary without a golden, or a golden without a
+# binary is re-run at --jobs=$(nproc) (calibrate takes no flags) and its
+# stdout must match the golden byte for byte: results do not depend on
+# --jobs, so any difference is a change to the artifact itself. A binary without a golden, or a golden without a
 # binary, fails too.
 # Exit status: 0 all match, 1 a mismatch or missing file, 2 usage.
 set -u
 
-if [ $# -lt 1 ] || [ $# -gt 2 ] || [ ! -d "$1" ]; then
-  echo "usage: $0 BENCH_DIR [JOBS]" >&2
+if [ $# -ne 1 ] || [ ! -d "$1" ]; then
+  echo "usage: $0 BENCH_DIR" >&2
   exit 2
 fi
 bench=$1
-jobs=${2:-$(nproc)}
+jobs=$(nproc)
 goldens=$(dirname "$0")/../artifacts
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
