@@ -102,7 +102,6 @@ sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
 }
 
 sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
-  if (src != kAnySource) check_rank(src, "bad source rank");
   buf = mpi_->canon(rank_, buf);
   auto& p = mpi_->proc(rank_);
   sim::MpiScope scope(p.cpu());
@@ -133,6 +132,7 @@ sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
 }
 
 sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
+  if (src != kAnySource) check_rank(src, "bad source rank");
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), false, buf.addr());
   const double tt0 = wtime();
@@ -151,6 +151,7 @@ sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
 }
 
 sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
+  if (src != kAnySource) check_rank(src, "bad source rank");
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), true, buf.addr());
   return irecv_impl(buf, src, tag);
@@ -171,6 +172,8 @@ sim::Task<void> Comm::wait_all(std::vector<Request> reqs) {
 
 sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
                                  View recvbuf, Rank src, Tag rtag) {
+  check_rank(dst, "bad dest rank");
+  if (src != kAnySource) check_rank(src, "bad source rank");
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvbuf = mpi_->canon(rank_, recvbuf);
   mpi_->recorder().on_recv(rank_, recvbuf.bytes(), false, recvbuf.addr());

@@ -225,19 +225,32 @@ TEST(MpiMisuse, RootOutOfRangeThrows) {
 
 TEST(MpiMisuse, SourceOutOfRangeThrows) {
   for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
-    for (const mpi::Rank src : {-1, 2}) {
-      SCOPED_TRACE(src);
-      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
-        if (comm.rank() == 0) co_await comm.recv(View::synth(1, 64), src, 0);
+    for (const mpi::Rank bad : {-1, 2}) {
+      SCOPED_TRACE(bad);
+      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.recv(View::synth(1, 64), bad, 0);
       });
-      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
+      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) {
-          Request r = co_await comm.irecv(View::synth(1, 64), src, 0);
+          Request r = co_await comm.irecv(View::synth(1, 64), bad, 0);
           co_await comm.wait(r);
         }
       });
-      expect_bad_rank(net, [src](Comm& comm) -> Task<> {
-        if (comm.rank() == 0) co_await comm.probe(src, 0);
+      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.probe(bad, 0);
+      });
+      // sendrecv checks both ranks before it posts its receive.
+      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          co_await comm.sendrecv(View::synth(1, 64), 1, 0,
+                                 View::synth(2, 64), bad, 0);
+        }
+      });
+      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          co_await comm.sendrecv(View::synth(1, 64), bad, 0,
+                                 View::synth(2, 64), 1, 0);
+        }
       });
     }
   }
