@@ -8,11 +8,9 @@ using namespace mns::bench;
 
 namespace {
 double allreduce_us(bool hw) {
-  cluster::ClusterConfig cfg{.nodes = 8, .net = cluster::Net::kQuadrics};
-  cfg.tweak_elan_channel = [hw](mpi::ElanChannelConfig& c) {
-    c.use_hw_bcast = hw;
-  };
-  cluster::Cluster c(cfg);
+  cluster::Cluster c({.nodes = 8,
+                      .net = cluster::Net::kQuadrics,
+                      .variant = {.elan_hw_bcast = hw}});
   double us = 0;
   c.run([&us](mpi::Comm& comm) -> sim::Task<void> {
     co_await comm.barrier();

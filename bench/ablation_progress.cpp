@@ -11,12 +11,10 @@ using namespace mns::bench;
 
 namespace {
 double overlap_at(std::uint64_t size, bool nic_progress) {
-  cluster::ClusterConfig cfg{.nodes = 2, .net = cluster::Net::kInfiniBand};
-  cfg.tweak_channel = [nic_progress](mpi::RdvChannelConfig& c) {
-    c.nic_progress = nic_progress;
-  };
-  // Reimplement the Fig. 6 measurement inline on a tweaked cluster.
-  cluster::Cluster c(cfg);
+  // Reimplement the Fig. 6 measurement inline on the variant cluster.
+  cluster::Cluster c({.nodes = 2,
+                      .net = cluster::Net::kInfiniBand,
+                      .variant = {.nic_progress = nic_progress}});
   auto round = [&](double comp_us, int iters) {
     double us = 0;
     c.run([&](mpi::Comm& comm) -> sim::Task<void> {

@@ -11,14 +11,9 @@ int main(int argc, char** argv) {
   for (int reuse : {0, 50, 100}) {
     const double normal = microbench::buffer_reuse_latency(
         cluster::Net::kInfiniBand, {8192}, reuse)[0].value;
-    // Zero-cost registration via the cluster tweak hook.
-    cluster::ClusterConfig cfg{.nodes = 2, .net = cluster::Net::kInfiniBand};
-    cfg.tweak_ib = [](ib::IbConfig& c) {
-      c.regcache.register_base = sim::Time::zero();
-      c.regcache.register_per_page = sim::Time::zero();
-      c.regcache.deregister_cost = sim::Time::zero();
-    };
-    cluster::Cluster c(cfg);
+    cluster::Cluster c({.nodes = 2,
+                        .net = cluster::Net::kInfiniBand,
+                        .variant = {.free_registration = true}});
     double free_reg = 0;
     c.run([&](mpi::Comm& comm) -> sim::Task<void> {
       const int iters = 50;

@@ -15,11 +15,11 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;  // per node count: the three columns
   for (std::size_t nodes : {4, 8, 16}) {
     for (const Col& col : cols) {
-      Cell cell{col.app, {.nodes = nodes, .net = cluster::Net::kInfiniBand}};
-      cell.cfg.tweak_ib = [on_demand = col.on_demand](ib::IbConfig& c) {
-        c.on_demand_connections = on_demand;
-      };
-      cells.push_back(std::move(cell));
+      cells.push_back(
+          {col.app,
+           {.nodes = nodes,
+            .net = cluster::Net::kInfiniBand,
+            .variant = {.on_demand_connections = col.on_demand}}});
     }
   }
   const auto res = run_cells(out, cells);

@@ -25,11 +25,10 @@ int main(int argc, char** argv) {
   for (const char* app : {"is", "ft", "mg", "lu"}) {
     for (std::size_t nodes : node_counts) {
       for (std::size_t radix : {0, 8}) {
-        Cell cell{app, {.nodes = nodes, .net = cluster::Net::kInfiniBand}};
-        cell.cfg.tweak_ib = [radix](ib::IbConfig& c) {
-          c.switch_cfg.fat_tree_radix = radix;
-        };
-        cells.push_back(std::move(cell));
+        cells.push_back({app,
+                         {.nodes = nodes,
+                          .net = cluster::Net::kInfiniBand,
+                          .variant = {.fat_tree_radix = radix}}});
       }
     }
   }

@@ -10,15 +10,9 @@ using namespace mns::bench;
 namespace {
 
 double collective_us(std::size_t nodes, bool mc, const char* which) {
-  cluster::ClusterConfig cfg{.nodes = nodes,
-                             .net = cluster::Net::kInfiniBand};
-  if (mc) {
-    cfg.tweak_channel = [](mpi::RdvChannelConfig& c) {
-      c.hw_multicast = true;
-      c.hw_bcast_overhead = sim::Time::us(5);
-    };
-  }
-  cluster::Cluster c(cfg);
+  cluster::Cluster c({.nodes = nodes,
+                      .net = cluster::Net::kInfiniBand,
+                      .variant = {.hw_multicast = mc}});
   double us = 0;
   std::string op = which;
   c.run([&](mpi::Comm& comm) -> sim::Task<void> {

@@ -3,8 +3,8 @@
 // this fabric do for my message size?"
 //
 //   ./build/examples/interconnect_explorer --bench=latency --net=qsn
-//   ./build/examples/interconnect_explorer --bench=bandwidth --net=ib \
-//       --bus=pci --from=1K --to=1M --window=32
+//   ./build/examples/interconnect_explorer --bench=bandwidth --net=ib
+//       --bus=pci --from=1K --to=1M --window=32     (one command line)
 //
 // Benches: latency, bandwidth, bidir_latency, bidir_bandwidth, overhead,
 //          overlap, intra_latency, intra_bandwidth, alltoall, allreduce.

@@ -46,47 +46,45 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
 
   const model::BusConfig bus = bus_for(cfg_.net, cfg_.bus);
 
-  // Resolve every hardware and channel config (tweaks applied) before
+  // Resolve every hardware and channel config (variant applied) before
   // constructing anything: the partition layout must be decided first,
   // because each node's pipes, NIC state and MPI procs are built directly
   // on their owning partition's engine.
+  const Variant& v = cfg_.variant;
   ib::IbConfig ib_cfg{};
   gm::GmConfig gm_cfg{};
   elan::ElanConfig elan_cfg{};
   mpi::RdvChannelConfig rdv_cc{};
   mpi::ElanChannelConfig elan_cc{};
   model::NicConfig nic{};
-  std::size_t fat_tree_radix = 0;
-  bool hw_bcast = false;
-  bool on_demand = false;
   switch (cfg_.net) {
     case Net::kInfiniBand: {
       ib_cfg = ib::default_ib_config(cfg_.nodes);
-      if (cfg_.tweak_ib) cfg_.tweak_ib(ib_cfg);
+      ib_cfg.on_demand_connections = v.on_demand_connections;
+      ib_cfg.switch_cfg.fat_tree_radix = v.fat_tree_radix;
+      if (v.free_registration) {
+        ib_cfg.regcache.register_base = sim::Time::zero();
+        ib_cfg.regcache.register_per_page = sim::Time::zero();
+        ib_cfg.regcache.deregister_cost = sim::Time::zero();
+      }
       rdv_cc = mpi::default_ch_ib_config();
-      if (cfg_.tweak_channel) cfg_.tweak_channel(rdv_cc);
+      rdv_cc.nic_progress = v.nic_progress;
+      rdv_cc.hw_multicast = v.hw_multicast;
       nic = ib_cfg.nic;
-      fat_tree_radix = ib_cfg.switch_cfg.fat_tree_radix;
-      hw_bcast = rdv_cc.hw_multicast;
-      on_demand = ib_cfg.on_demand_connections;
       break;
     }
     case Net::kMyrinet: {
       gm_cfg = gm::default_gm_config(cfg_.nodes);
       rdv_cc = mpi::default_ch_gm_config();
-      if (cfg_.tweak_channel) cfg_.tweak_channel(rdv_cc);
+      rdv_cc.nic_progress = v.nic_progress;
       nic = gm_cfg.nic;
-      fat_tree_radix = gm_cfg.switch_cfg.fat_tree_radix;
-      hw_bcast = rdv_cc.hw_multicast;
       break;
     }
     case Net::kQuadrics: {
       elan_cfg = elan::default_elan_config(cfg_.nodes);
       elan_cc = mpi::default_elan_channel_config();
-      if (cfg_.tweak_elan_channel) cfg_.tweak_elan_channel(elan_cc);
+      elan_cc.use_hw_bcast = v.elan_hw_bcast;
       nic = elan_cfg.nic;
-      fat_tree_radix = elan_cfg.switch_cfg.fat_tree_radix;
-      hw_bcast = elan_cc.use_hw_bcast;
       break;
     }
   }
@@ -115,14 +113,17 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     l_exec = std::min(l_exec, sim::transfer_time(1, gm_cfg.sram_rate));
   }
 
-  // Demote to sequential execution when the configuration's hardware
-  // shortcut touches remote-node state outside the wire protocol (see the
+  // Demote to sequential execution when the variant's hardware shortcut
+  // touches remote-node state outside the wire protocol (see the
   // ClusterConfig::partitions comment), or when the executor would have
   // no conservative window at all.
+  const bool remote_shortcut =
+      cfg_.net == Net::kInfiniBand
+          ? v.hw_multicast || v.fat_tree_radix > 0 || v.on_demand_connections
+          : cfg_.net == Net::kQuadrics && v.elan_hw_bcast;
   effective_partitions_ = cfg_.partitions;
   if (cfg_.partitions > 1 &&
-      (hw_bcast || fat_tree_radix > 0 || on_demand ||
-       !(l_exec > sim::Time::zero()))) {
+      (remote_shortcut || !(l_exec > sim::Time::zero()))) {
     effective_partitions_ = 1;
   }
   const int parts_n = effective_partitions_;

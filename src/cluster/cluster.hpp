@@ -44,6 +44,30 @@ enum class Bus {
   kPcix133,
 };
 
+/// The mechanisms the ablation and extension binaries switch, one plain
+/// value each. The defaults are the paper's testbed. Cluster applies each
+/// field on the nets named beside it and ignores it on the others.
+struct Variant {
+  /// InfiniBand: RC connections created on first use instead of all-to-all
+  /// at start-up (ext_connections).
+  bool on_demand_connections = false;
+  /// InfiniBand: leaf radix of a two-level fat tree; 0 is the single
+  /// crossbar (ext_fat_tree).
+  std::size_t fat_tree_radix = 0;
+  /// InfiniBand: registration and deregistration cost nothing
+  /// (ablation_regcache).
+  bool free_registration = false;
+  /// InfiniBand and Myrinet (the rendezvous devices): protocol handlers run
+  /// without waiting for the host CPU (ablation_progress).
+  bool nic_progress = false;
+  /// InfiniBand: barrier and bcast over hardware multicast
+  /// (ext_ib_multicast).
+  bool hw_multicast = false;
+  /// Quadrics: collectives use the Elite hardware broadcast
+  /// (ablation_collectives).
+  bool elan_hw_bcast = true;
+};
+
 struct ClusterConfig {
   std::size_t nodes = 8;
   int ppn = 1;  // processes per node (paper: 1, or 2 for SMP mode)
@@ -61,10 +85,10 @@ struct ClusterConfig {
   /// window. Results are required (and chaos-tested) to be bit-identical
   /// for any partition count, with and without fault plans.
   ///
-  /// Configurations whose hardware shortcut reads or writes remote-node
-  /// state directly — Elan hardware broadcast / rendezvous hardware
-  /// multicast (switch-wide fan-out), fat-tree topologies (shared spine
-  /// pipes), IB on-demand connections (symmetric connection tables) —
+  /// Variants whose hardware shortcut reads or writes remote-node state
+  /// directly — Elan hardware broadcast / IB hardware multicast
+  /// (switch-wide fan-out), fat-tree topologies (shared spine pipes), IB
+  /// on-demand connections (symmetric connection tables) —
   /// are demoted to sequential execution: the request is still validated
   /// (it must lie in [1, nodes]), but effective_partitions() reports 1.
   int partitions = 1;
@@ -74,7 +98,7 @@ struct ClusterConfig {
   /// linkdown/nicdown clauses. Empty (the default) leaves the data path
   /// bit-identical to a build without the fault layer. Parse from a CLI
   /// spec with fault::FaultPlan::parse.
-  fault::FaultPlan faults;
+  fault::FaultPlan faults{};
 
   /// Progress guard: when nonzero, every engine refuses to advance its
   /// clock past this horizon and throws sim::LivelockError carrying a
@@ -83,11 +107,7 @@ struct ClusterConfig {
   /// forever. Zero (the default) means unlimited.
   sim::Time max_sim_time = sim::Time::zero();
 
-  // Ablation/calibration hooks: mutate the default hardware or channel
-  // parameters before construction.
-  std::function<void(ib::IbConfig&)> tweak_ib;
-  std::function<void(mpi::RdvChannelConfig&)> tweak_channel;
-  std::function<void(mpi::ElanChannelConfig&)> tweak_elan_channel;
+  Variant variant{};
 };
 
 class Cluster {

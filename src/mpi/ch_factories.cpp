@@ -44,6 +44,9 @@ RdvChannelConfig default_ch_ib_config() {
       .o_ctrl = sim::Time::ns(400),
       .o_match_entry = sim::Time::ns(900),
       .ctrl_bytes = 64,
+      // Reliability envelope over the unreliable multicast; paid only
+      // when a Variant turns hw_multicast on.
+      .hw_bcast_overhead = sim::Time::us(5),
       .shm = ib_shm_config(),
   };
 }

@@ -21,21 +21,30 @@ namespace {
 std::uint64_t g_allocs = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line. GCC pairs each release it can see
+// with the allocation it can see, so a malloc() inlined from operator new
+// meeting a call to operator delete, or the reverse, reads as a
+// mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_allocs;
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t n, std::align_val_t a) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t a) {
   ++g_allocs;
   const auto al = static_cast<std::size_t>(a);
   if (void* p = std::aligned_alloc(al, (n + al - 1) / al * al)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -16,9 +16,9 @@ using mpi::View;
 using sim::Task;
 
 ClusterConfig on_demand_cfg(std::size_t nodes) {
-  ClusterConfig cfg{.nodes = nodes, .net = Net::kInfiniBand};
-  cfg.tweak_ib = [](ib::IbConfig& c) { c.on_demand_connections = true; };
-  return cfg;
+  return {.nodes = nodes,
+          .net = Net::kInfiniBand,
+          .variant = {.on_demand_connections = true}};
 }
 
 TEST(OnDemandConnections, MemoryGrowsOnlyWithContactedPeers) {
@@ -77,12 +77,9 @@ TEST(OnDemandConnections, FirstMessagePaysSetup) {
 }
 
 ClusterConfig multicast_cfg(std::size_t nodes) {
-  ClusterConfig cfg{.nodes = nodes, .net = Net::kInfiniBand};
-  cfg.tweak_channel = [](mpi::RdvChannelConfig& c) {
-    c.hw_multicast = true;
-    c.hw_bcast_overhead = sim::Time::us(5);
-  };
-  return cfg;
+  return {.nodes = nodes,
+          .net = Net::kInfiniBand,
+          .variant = {.hw_multicast = true}};
 }
 
 double time_collective(Cluster& c,

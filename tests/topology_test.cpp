@@ -16,11 +16,9 @@ using sim::Task;
 using sim::Time;
 
 ClusterConfig fat_tree_cfg(std::size_t nodes, std::size_t radix) {
-  ClusterConfig cfg{.nodes = nodes, .net = Net::kInfiniBand};
-  cfg.tweak_ib = [radix](ib::IbConfig& c) {
-    c.switch_cfg.fat_tree_radix = radix;
-  };
-  return cfg;
+  return {.nodes = nodes,
+          .net = Net::kInfiniBand,
+          .variant = {.fat_tree_radix = radix}};
 }
 
 TEST(FatTree, TrafficStillDeliversEverywhere) {
@@ -71,11 +69,7 @@ TEST(FatTree, UplinkContentionUnderIncast) {
   // uplink: aggregate throughput must cap near the single link rate,
   // where the flat crossbar would only bottleneck at the receiver.
   auto incast_secs = [](std::size_t radix) {
-    ClusterConfig cfg{.nodes = 8, .net = Net::kInfiniBand};
-    cfg.tweak_ib = [radix](ib::IbConfig& c) {
-      c.switch_cfg.fat_tree_radix = radix;
-    };
-    Cluster c(cfg);
+    Cluster c(fat_tree_cfg(8, radix));
     double secs = 0;
     c.run([&secs](Comm& comm) -> Task<> {
       const std::uint64_t bytes = 4 << 20;
@@ -105,11 +99,7 @@ TEST(FatTree, AllToAllSlowerThanCrossbar) {
   // Cross-leaf alltoall oversubscribes the uplinks: the fat tree must be
   // measurably slower than the flat crossbar at the same node count.
   auto alltoall_us = [](std::size_t radix) {
-    ClusterConfig cfg{.nodes = 16, .net = Net::kInfiniBand};
-    cfg.tweak_ib = [radix](ib::IbConfig& c) {
-      c.switch_cfg.fat_tree_radix = radix;
-    };
-    Cluster c(cfg);
+    Cluster c(fat_tree_cfg(16, radix));
     double us = 0;
     c.run([&us](Comm& comm) -> Task<> {
       co_await comm.barrier();
