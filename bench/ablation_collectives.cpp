@@ -8,22 +8,9 @@ using namespace mns::bench;
 
 namespace {
 double allreduce_us(bool hw) {
-  cluster::Cluster c({.nodes = 8,
-                      .net = cluster::Net::kQuadrics,
-                      .variant = {.elan_hw_bcast = hw}});
-  double us = 0;
-  c.run([&us](mpi::Comm& comm) -> sim::Task<void> {
-    co_await comm.barrier();
-    const int iters = 50;
-    const double t0 = comm.wtime();
-    for (int i = 0; i < iters; ++i) {
-      co_await comm.allreduce(mpi::View::synth(0x100, 8), 1,
-                              mpi::Dtype::kDouble, mpi::ROp::kSum);
-    }
-    co_await comm.barrier();
-    if (comm.rank() == 0) us = (comm.wtime() - t0) / iters * 1e6;
-  });
-  return us;
+  return microbench::allreduce_latency(cluster::Net::kQuadrics, {4},
+                                       {.variant = {.elan_hw_bcast = hw}})[0]
+      .value;
 }
 }  // namespace
 

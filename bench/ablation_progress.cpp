@@ -3,58 +3,28 @@
 // The paper attributes Quadrics' overlap advantage to NIC-resident
 // protocol handling. Here we graft that property onto the InfiniBand
 // device (as if MVAPICH had a progress thread / NIC offload) and measure
-// the overlap potential with everything else unchanged.
+// Fig. 6's overlap potential with everything else unchanged.
 #include "bench_common.hpp"
 
 using namespace mns;
 using namespace mns::bench;
 
-namespace {
-double overlap_at(std::uint64_t size, bool nic_progress) {
-  // Reimplement the Fig. 6 measurement inline on the variant cluster.
-  cluster::Cluster c({.nodes = 2,
-                      .net = cluster::Net::kInfiniBand,
-                      .variant = {.nic_progress = nic_progress}});
-  auto round = [&](double comp_us, int iters) {
-    double us = 0;
-    c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-      const int peer = 1 - comm.rank();
-      const mpi::View sbuf = mpi::View::synth(0x1000000 + comm.rank(), size);
-      const mpi::View rbuf = mpi::View::synth(0x2000000 + comm.rank(), size);
-      co_await comm.barrier();
-      const double t0 = comm.wtime();
-      for (int i = 0; i < iters; ++i) {
-        mpi::Request rreq = co_await comm.irecv(rbuf, peer, 0);
-        mpi::Request sreq = co_await comm.isend(sbuf, peer, 0);
-        if (comp_us > 0) co_await comm.compute(comp_us * 1e-6);
-        co_await comm.wait(sreq);
-        co_await comm.wait(rreq);
-      }
-      co_await comm.barrier();
-      if (comm.rank() == 0) us = (comm.wtime() - t0) / iters * 1e6;
-    });
-    return us;
-  };
-  const double base = round(0, 6);
-  const double budget = base * 1.01 + 0.3;
-  double lo = 0, hi = 2 * base + 600;
-  if (round(hi, 6) <= budget) return hi;
-  for (int i = 0; i < 20; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    (round(mid, 6) <= budget ? lo : hi) = mid;
-  }
-  return lo;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const Output out = parse_output(argc, argv);
+  const std::vector<std::uint64_t> sizes{4096, 16384, 65536};
+  const auto overlap = [&](bool nic_progress) {
+    return microbench::overlap_potential(
+        cluster::Net::kInfiniBand, sizes,
+        {.variant = {.nic_progress = nic_progress}});
+  };
+  const auto host = overlap(false);
+  const auto nic = overlap(true);
   util::Table t({"size", "host_driven_us", "nic_progress_us"});
-  for (std::uint64_t size : {4096ull, 16384ull, 65536ull}) {
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
     t.row()
-        .add(util::size_label(size))
-        .add(overlap_at(size, false), 1)
-        .add(overlap_at(size, true), 1);
+        .add(util::size_label(sizes[i]))
+        .add(host[i].value, 1)
+        .add(nic[i].value, 1);
   }
   out.emit("Ablation: overlap potential, InfiniBand host-driven rendezvous "
            "vs hypothetical NIC-side progress (the Quadrics property)",

@@ -9,34 +9,13 @@ int main(int argc, char** argv) {
   const Output out = parse_output(argc, argv);
   util::Table t({"reuse_pct", "lat_us_normal", "lat_us_free_reg"});
   for (int reuse : {0, 50, 100}) {
-    const double normal = microbench::buffer_reuse_latency(
-        cluster::Net::kInfiniBand, {8192}, reuse)[0].value;
-    cluster::Cluster c({.nodes = 2,
-                        .net = cluster::Net::kInfiniBand,
-                        .variant = {.free_registration = true}});
-    double free_reg = 0;
-    c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-      const int iters = 50;
-      std::uint64_t fresh = 0x9000000 + comm.rank() * 0x1000000;
-      co_await comm.barrier();
-      const double t0 = comm.wtime();
-      for (int i = 0; i < iters; ++i) {
-        const bool hot = (static_cast<long>(i + 1) * reuse) / 100 >
-                         (static_cast<long>(i) * reuse) / 100;
-        mpi::View buf =
-            hot ? mpi::View::synth(0x100000 + comm.rank(), 8192)
-                : mpi::View::synth(fresh += 12288, 8192);
-        if (comm.rank() == 0) {
-          co_await comm.send(buf, 1, 0);
-          co_await comm.recv(buf, 1, 0);
-        } else {
-          co_await comm.recv(buf, 0, 0);
-          co_await comm.send(buf, 0, 0);
-        }
-      }
-      if (comm.rank() == 0) free_reg = (comm.wtime() - t0) / (2.0 * iters) * 1e6;
-    });
-    t.row().add(reuse).add(normal, 1).add(free_reg, 1);
+    const auto lat_us = [reuse](bool free_registration) {
+      return microbench::buffer_reuse_latency(
+          cluster::Net::kInfiniBand, {8192}, reuse,
+          {.variant = {.free_registration = free_registration}})[0]
+          .value;
+    };
+    t.row().add(reuse).add(lat_us(false), 1).add(lat_us(true), 1);
   }
   out.emit("Ablation: InfiniBand 8K latency vs buffer reuse, with real "
            "vs free registration (pin-down cache relevance)",

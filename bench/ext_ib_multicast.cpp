@@ -9,30 +9,15 @@ using namespace mns::bench;
 
 namespace {
 
-double collective_us(std::size_t nodes, bool mc, const char* which) {
-  cluster::Cluster c({.nodes = nodes,
-                      .net = cluster::Net::kInfiniBand,
-                      .variant = {.hw_multicast = mc}});
-  double us = 0;
-  std::string op = which;
-  c.run([&](mpi::Comm& comm) -> sim::Task<void> {
-    co_await comm.barrier();
-    const int iters = 40;
-    const double t0 = comm.wtime();
-    for (int i = 0; i < iters; ++i) {
-      if (op == "bcast") {
-        co_await comm.bcast(mpi::View::synth(0x100, 64), 0);
-      } else if (op == "allreduce") {
-        co_await comm.allreduce(mpi::View::synth(0x200, 8), 1,
-                                mpi::Dtype::kDouble, mpi::ROp::kSum);
-      } else {
-        co_await comm.barrier();
-      }
-    }
-    co_await comm.barrier();
-    if (comm.rank() == 0) us = (comm.wtime() - t0) / iters * 1e6;
-  });
-  return us;
+double collective_us(const std::string& op, std::size_t nodes, bool mc) {
+  const microbench::Options opt{.nodes = nodes,
+                                .variant = {.hw_multicast = mc}};
+  const cluster::Net ib = cluster::Net::kInfiniBand;
+  if (op == "bcast") return microbench::bcast_latency(ib, {64}, opt)[0].value;
+  if (op == "allreduce") {
+    return microbench::allreduce_latency(ib, {4}, opt)[0].value;
+  }
+  return microbench::barrier_latency(ib, opt);
 }
 
 }  // namespace
@@ -42,8 +27,8 @@ int main(int argc, char** argv) {
   util::Table t({"op", "nodes", "p2p_us", "multicast_us", "speedup"});
   for (const char* op : {"bcast", "allreduce", "barrier"}) {
     for (std::size_t nodes : {8, 16}) {
-      const double p2p = collective_us(nodes, false, op);
-      const double mc = collective_us(nodes, true, op);
+      const double p2p = collective_us(op, nodes, false);
+      const double mc = collective_us(op, nodes, true);
       t.row()
           .add(std::string(op))
           .add(static_cast<std::uint64_t>(nodes))

@@ -28,10 +28,12 @@ std::uint64_t recv_addr(int rank) {
 }
 
 ClusterConfig pair_config(Net net, const Options& opt) {
-  return ClusterConfig{.nodes = 2, .ppn = 1, .net = net, .bus = opt.bus};
+  return ClusterConfig{
+      .nodes = 2, .ppn = 1, .net = net, .bus = opt.bus, .variant = opt.variant};
 }
 ClusterConfig smp_config(Net net, const Options& opt) {
-  return ClusterConfig{.nodes = 1, .ppn = 2, .net = net, .bus = opt.bus};
+  return ClusterConfig{
+      .nodes = 1, .ppn = 2, .net = net, .bus = opt.bus, .variant = opt.variant};
 }
 
 /// Deterministic R%-reuse pattern: iteration i reuses the base buffer iff
@@ -462,8 +464,11 @@ template <class CollFn>
 std::vector<Point> collective_latency(Net net,
                                       const std::vector<std::uint64_t>& sizes,
                                       const Options& opt, CollFn&& fn) {
-  ClusterConfig cfg{.nodes = opt.nodes, .ppn = 1, .net = net, .bus = opt.bus};
-  Cluster c(cfg);
+  Cluster c({.nodes = opt.nodes,
+             .ppn = 1,
+             .net = net,
+             .bus = opt.bus,
+             .variant = opt.variant});
   std::vector<Point> out;
   for (const auto size : sizes) {
     double us = 0;
@@ -503,6 +508,22 @@ std::vector<Point> allreduce_latency(Net net,
                               size / 8 + 1, mpi::Dtype::kDouble,
                               mpi::ROp::kSum);
       });
+}
+
+std::vector<Point> bcast_latency(Net net, std::vector<std::uint64_t> sizes,
+                                 Options opt) {
+  return collective_latency(
+      net, sizes, opt, [](Comm& comm, std::uint64_t size) {
+        return comm.bcast(View::synth(send_addr(comm.rank()), size), 0);
+      });
+}
+
+double barrier_latency(Net net, Options opt) {
+  return collective_latency(net, {0}, opt,
+                            [](Comm& comm, std::uint64_t) {
+                              return comm.barrier();
+                            })[0]
+      .value;
 }
 
 // --------------------------------------------------------------------------

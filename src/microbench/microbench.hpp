@@ -26,6 +26,7 @@ struct Options {
   int reps = 12;        // windows per bandwidth measurement
   std::size_t nodes = 8;
   cluster::Bus bus = cluster::Bus::kDefault;
+  cluster::Variant variant{};  // the mechanisms of every cluster built
 };
 
 /// Fig. 1 / Fig. 26: ping-pong latency (one-way, us).
@@ -82,6 +83,11 @@ std::vector<Point> alltoall_latency(cluster::Net net,
 std::vector<Point> allreduce_latency(cluster::Net net,
                                      std::vector<std::uint64_t> sizes,
                                      Options opt = {});
+/// The same timer over MPI_Bcast from rank 0, and over MPI_Barrier (us).
+std::vector<Point> bcast_latency(cluster::Net net,
+                                 std::vector<std::uint64_t> sizes,
+                                 Options opt = {});
+double barrier_latency(cluster::Net net, Options opt = {});
 
 /// Fig. 13: MPI memory usage (MB) of a barrier program vs node count.
 std::vector<Point> memory_usage(cluster::Net net, std::size_t max_nodes);

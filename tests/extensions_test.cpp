@@ -1,9 +1,11 @@
 // Tests for the paper's future-work extensions: on-demand RC connections
 // (Section 3.8 / Wu et al.) and hardware-multicast collectives over
-// InfiniBand (Section 3.7 / Kini et al.).
+// InfiniBand (Section 3.7 / Kini et al.); and for the ablation variants,
+// each measured with the figure kernel whose mechanism it switches.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "microbench/microbench.hpp"
 
 namespace {
 
@@ -149,6 +151,46 @@ TEST(IbMulticast, BarrierStaysComparableToDissemination) {
     EXPECT_LT(mc, tree * 1.6) << nodes;
     EXPECT_GT(mc, tree * 0.5) << nodes;
   }
+}
+
+// Each ablation test fails if Cluster ignores its Variant field: the
+// variant run would then equal the default one.
+
+TEST(Ablation, NicProgressLiftsIbOverlapAboveHostDrivenPlateau) {
+  // Fig. 6: host-driven IB rendezvous overlaps about 6 us of computation
+  // at 4K and 16K; NIC-side progress overlaps about 35 and 55 us.
+  const std::vector<std::uint64_t> sizes{4096, 16384};
+  const auto host = microbench::overlap_potential(Net::kInfiniBand, sizes);
+  const auto nic = microbench::overlap_potential(
+      Net::kInfiniBand, sizes, {.variant = {.nic_progress = true}});
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_LT(host[i].value, 10.0) << sizes[i];
+    EXPECT_GT(nic[i].value, 4 * host[i].value) << sizes[i];
+  }
+}
+
+TEST(Ablation, FreeRegistrationErasesIbReuseCliff) {
+  // Fig. 7: with registration, 8K latency at 0 % reuse (about 96 us) is
+  // over twice that at 100 % (about 41 us); free, the two are equal.
+  const auto lat_us = [](int reuse, bool free_registration) {
+    return microbench::buffer_reuse_latency(
+        Net::kInfiniBand, {8192}, reuse,
+        {.variant = {.free_registration = free_registration}})[0]
+        .value;
+  };
+  EXPECT_GT(lat_us(0, false), 2 * lat_us(100, false));
+  EXPECT_DOUBLE_EQ(lat_us(0, true), lat_us(100, true));
+}
+
+TEST(Ablation, QuadricsAllreduceSlowerWithoutHardwareBroadcast) {
+  // Fig. 12: the 8-node 4 B allreduce takes about 23 us over the Elite
+  // hardware broadcast and about 28 us on point-to-point trees.
+  const auto allreduce_us = [](bool hw) {
+    return microbench::allreduce_latency(Net::kQuadrics, {4},
+                                         {.variant = {.elan_hw_bcast = hw}})[0]
+        .value;
+  };
+  EXPECT_GT(allreduce_us(false), allreduce_us(true) + 2.0);
 }
 
 }  // namespace
