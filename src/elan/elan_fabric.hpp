@@ -69,7 +69,7 @@ class ElanFabric final : public model::NetFabric {
 
   /// Occupy node's NIC protocol processor (serializes with message
   /// processing); used by the MPI device for NIC-side tag-match scans.
-  sim::Task<void> occupy_nic(int node, sim::Time d) {
+  sim::Delay occupy_nic(int node, sim::Time d) {
     return nic_proc(node).occupy(d);
   }
 

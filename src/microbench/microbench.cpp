@@ -505,8 +505,7 @@ std::vector<Point> allreduce_latency(Net net,
   return collective_latency(
       net, sizes, opt, [](Comm& comm, std::uint64_t size) {
         return comm.allreduce(View::synth(send_addr(comm.rank()), size),
-                              size / 8 + 1, mpi::Dtype::kDouble,
-                              mpi::ROp::kSum);
+                              size, mpi::Dtype::kByte, mpi::ROp::kSum);
       });
 }
 

@@ -8,10 +8,11 @@
 //
 // Two layers of API:
 //
-//   * Coroutine layer (`transfer`, `occupy`, `transfer_after`): reserve a
-//     slot and co_await its completion — one event per stage.
+//   * Awaiter layer (`transfer`, `occupy`, `transfer_after`): reserve a
+//     slot at the call and return a sim::Delay to its completion — one
+//     event per stage, no coroutine frame.
 //   * Reservation layer (`reserve`, `reserve_after`): the same slot
-//     arithmetic without the coroutine; callers get back the absolute
+//     arithmetic without the awaiter; callers get back the absolute
 //     completion time and schedule their own continuation. This is what
 //     the pooled message state machines in NetFabric drive.
 #pragma once
@@ -19,11 +20,13 @@
 #include <cstdint>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace mns::model {
 
+/// The awaiter layer reserves its slot at the call, so co_await the
+/// result at once: its delay is measured from the call, and an awaiter
+/// held across other waits resumes that much past its slot.
 class Pipe {
  public:
   /// `bytes_per_second`: effective data rate of this stage.
@@ -35,21 +38,21 @@ class Pipe {
 
   /// Move `bytes` through the pipe; resumes when the last byte (plus the
   /// fixed cost) has cleared. Zero-byte transfers still pay the fixed cost.
-  sim::Task<void> transfer(std::uint64_t bytes) {
-    co_await eng_->delay(reserve(bytes) - eng_->now());
+  sim::Delay transfer(std::uint64_t bytes) {
+    return eng_->delay(reserve(bytes) - eng_->now());
   }
 
   /// Reserve the pipe for a fixed duration (models a processing stall that
   /// occupies the stage, e.g. a NIC MMU walk). Keeps FIFO order with
   /// transfers.
-  sim::Task<void> occupy(sim::Time duration) {
+  sim::Delay occupy(sim::Time duration) {
     return transfer_after(duration, 0);
   }
 
   /// Stall for `lead`, then move `bytes` — reserved as one atomic slot so
   /// no competing transfer can slip between the stall and the data.
-  sim::Task<void> transfer_after(sim::Time lead, std::uint64_t bytes) {
-    co_await eng_->delay(reserve_after(lead, bytes) - eng_->now());
+  sim::Delay transfer_after(sim::Time lead, std::uint64_t bytes) {
+    return eng_->delay(reserve_after(lead, bytes) - eng_->now());
   }
 
   /// Reserve the next FIFO slot for `bytes` now; returns the absolute time
@@ -59,7 +62,7 @@ class Pipe {
     return take_slot(sim::Time::zero(), bytes) + fixed_cost_;
   }
 
-  /// `transfer_after` without the coroutine: stall + data as one slot.
+  /// `transfer_after` without the awaiter: stall + data as one slot.
   /// Pure occupancy (`bytes == 0`) pays no fixed cost and does not count
   /// as a transfer, matching `occupy`.
   sim::Time reserve_after(sim::Time lead, std::uint64_t bytes) {

@@ -49,11 +49,6 @@ class CrossbarSwitch {
     }
   }
 
-  /// Forward one packet to output port `dst`.
-  sim::Task<void> forward(std::size_t dst, std::uint64_t bytes) {
-    return port(dst).transfer(bytes);
-  }
-
   Pipe& port(std::size_t dst) {
     if (dst >= out_.size()) throw std::out_of_range("switch port");
     return out_[dst];

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "model/switch.hpp"
+#include "sim/task.hpp"
 
 namespace mns::model {
 

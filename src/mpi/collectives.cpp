@@ -167,6 +167,7 @@ sim::Task<int> Comm::reduce_p2p(View buf, std::size_t count, Dtype dtype,
 sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
                              ROp op, Rank root) {
   check_rank(root, "bad root rank");
+  check_count(buf, count, dtype);
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const Tag tag = next_coll_tag();
@@ -180,6 +181,7 @@ sim::Task<void> Comm::reduce_impl(View buf, std::size_t count, Dtype dtype,
 
 sim::Task<void> Comm::allreduce_impl(View buf, std::size_t count, Dtype dtype,
                                 ROp op) {
+  check_count(buf, count, dtype);
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_collective(rank_, buf.bytes(), buf.addr());
   const std::uint64_t seq = coll_seq_;

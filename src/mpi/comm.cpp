@@ -83,6 +83,12 @@ void Comm::check_rank(Rank r, const char* what) const {
   if (r < 0 || r >= size()) throw std::invalid_argument(what);
 }
 
+void Comm::check_count(const View& buf, std::size_t count, Dtype dtype) {
+  if (count > buf.bytes() / dtype_size(dtype)) {
+    throw std::invalid_argument("reduction count overruns its buffer");
+  }
+}
+
 sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
   check_rank(dst, "bad dest rank");
   buf = mpi_->canon(rank_, buf);

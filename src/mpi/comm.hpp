@@ -67,7 +67,8 @@ class Comm {
 
   sim::Task<void> barrier();
   sim::Task<void> bcast(View buf, Rank root);
-  /// In-place allreduce over `count` elements held in `buf`.
+  /// In-place allreduce over `count` elements held in `buf`. Both
+  /// reductions throw std::invalid_argument if the elements overrun `buf`.
   sim::Task<void> allreduce(View buf, std::size_t count, Dtype dtype,
                             ROp op);
   sim::Task<void> reduce(View buf, std::size_t count, Dtype dtype, ROp op,
@@ -109,6 +110,9 @@ class Comm {
   /// Throws std::invalid_argument (message `what`) unless `r` is a rank
   /// of this job.
   void check_rank(Rank r, const char* what) const;
+  /// Throws std::invalid_argument unless `count` elements of `dtype` fit
+  /// in `buf` (real or synthetic).
+  static void check_count(const View& buf, std::size_t count, Dtype dtype);
   /// Subview helper for collective algorithms on real/synthetic buffers.
   static View slice(const View& v, std::uint64_t offset, std::uint64_t len);
   /// Next collective tag/slot id (same sequence on every rank).

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <atomic>  // simcheck-allow: threading (cross-partition ledger)
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -146,11 +147,18 @@ class Request {
     return st_ ? st_->status : kEmpty;
   }
 
-  /// Awaitable completion; resolves immediately if already done.
-  sim::Task<Status> await_done() const {
-    if (st_ && !st_->done) co_await st_->trig.wait();
-    co_return st_ ? st_->status : Status{};
-  }
+  /// Awaitable completion, yielding the Status; resolves immediately if
+  /// already done. A plain awaiter over the request's Trigger: a pending
+  /// request resumes the caller from the completion's wake-up event.
+  struct [[nodiscard]] DoneAwaiter {
+    RequestState* st;
+    bool await_ready() const noexcept { return !st || st->done; }
+    void await_suspend(std::coroutine_handle<> h) {
+      st->trig.wait().await_suspend(h);
+    }
+    Status await_resume() const { return st ? st->status : Status{}; }
+  };
+  DoneAwaiter await_done() const { return DoneAwaiter{st_}; }
 
   RequestState* state() const { return st_; }
 

@@ -66,7 +66,7 @@ void Engine::drop_processes() {
   live_ = 0;
 }
 
-void Engine::schedule_future(std::int64_t at_ps, EventFn fn) {
+void Engine::schedule_future(std::int64_t at_ps, EventFn&& fn) {
   if (at_ps < now_.count_ps()) {
     throw std::logic_error("Engine::at: scheduling into the past");
   }
@@ -76,7 +76,7 @@ void Engine::schedule_future(std::int64_t at_ps, EventFn fn) {
 // MNS_HOT: the slab and the queue's node pool grow amortized and reuse
 // free slots; in steady state pushes recycle capacity without touching
 // the allocator.
-MNS_HOT std::uint32_t Engine::queue_push(Key key, EventFn fn) {
+MNS_HOT std::uint32_t Engine::queue_push(Key key, EventFn&& fn) {
   // Park the payload in the slab; only (key, slot) enter the queue.
   std::uint32_t slot;
   if (!slab_free_.empty()) {

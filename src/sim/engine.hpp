@@ -227,6 +227,23 @@ struct EventKey {
   bool before(const EventKey& o) const noexcept { return packed < o.packed; }
 };
 
+class Engine;
+
+/// Awaiter for a fixed pause: resumes the awaiting coroutine `d` from now
+/// through one queued event (Engine::delay). The leaf waits —
+/// Cpu::compute/busy and Pipe::transfer/occupy/transfer_after, with what
+/// forwards them — return one, so the event resumes their caller directly
+/// and the wait has no coroutine frame of its own. Zero-length delays
+/// still suspend (and requeue), preserving FIFO fairness between
+/// processes.
+struct [[nodiscard]] Delay {
+  Engine* eng;
+  Time d;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume() const noexcept {}
+};
+
 /// Handle to a cancellable event (see Engine::at_cancellable). The pair
 /// (slot, seq) is ABA-safe: seq is globally unique, so a handle whose slot
 /// has been recycled for a later event simply fails to cancel.
@@ -250,14 +267,14 @@ class alignas(64) Engine {
 
   /// Schedule a payload to run `delay` from now. Negative delays are an
   /// error.
-  void after(Time delay, EventFn fn) { at(now_ + delay, std::move(fn)); }
+  void after(Time delay, EventFn&& fn) { at(now_ + delay, std::move(fn)); }
   /// Schedule a payload at absolute time `at` (must be >= now()).
   /// Events at exactly now() — every synchronization wake-up, process
   /// start, and hand-off in the simulator — take the O(1) now-queue fast
   /// path; only genuinely future events enter the ladder queue.
   /// MNS_HOT: the now-queue push_back is amortized — its capacity is
   /// retained across clear() and reaches steady state after warm-up.
-  MNS_HOT void at(Time when, EventFn fn) {
+  MNS_HOT void at(Time when, EventFn&& fn) {
     const std::int64_t at_ps = when.count_ps();
     if (at_ps == now_.count_ps()) {
       nowq_.push_back(NowEvent{next_seq_++, std::move(fn)});
@@ -284,7 +301,7 @@ class alignas(64) Engine {
   /// and cancelled on the (common) success path. Cancellable events always
   /// take the queue path, even at exactly now(), so the returned EventId
   /// names a stable slab slot.
-  EventId at_cancellable(Time when, EventFn fn) {
+  EventId at_cancellable(Time when, EventFn&& fn) {
     const std::int64_t at_ps = when.count_ps();
     if (at_ps < now_.count_ps()) {
       throw std::logic_error("Engine::at_cancellable: scheduling into the past");
@@ -328,20 +345,7 @@ class alignas(64) Engine {
   }
 
   /// Awaitable pause: `co_await eng.delay(Time::us(5));`
-  /// Zero-length delays still suspend (and requeue), preserving FIFO
-  /// fairness between processes.
-  auto delay(Time d) {
-    struct Awaiter {
-      Engine& eng;
-      Time d;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        eng.resume_after(d, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, d};
-  }
+  Delay delay(Time d) { return Delay{this, d}; }
 
   /// Launch `t` as a process. It starts via the event queue at the current
   /// time, so spawn order is start order. A `daemon` process (a NIC
@@ -416,8 +420,8 @@ class alignas(64) Engine {
     EventFn fn;
   };
 
-  void schedule_future(std::int64_t at_ps, EventFn fn);
-  std::uint32_t queue_push(Key key, EventFn fn);
+  void schedule_future(std::int64_t at_ps, EventFn&& fn);
+  std::uint32_t queue_push(Key key, EventFn&& fn);
   EventFn queue_pop(Key& key);
 
   bool step();  // pop and run one event; false if queue empty
@@ -458,6 +462,10 @@ class alignas(64) Engine {
   std::vector<std::coroutine_handle<>> roots_;
 };
 
+inline void Delay::await_suspend(std::coroutine_handle<> h) {
+  eng->resume_after(d, h);
+}
+
 /// A simulated host CPU context for one process (rank).
 ///
 /// The testbed nodes are dual-CPU and the paper never oversubscribes, so
@@ -465,6 +473,8 @@ class alignas(64) Engine {
 /// only advances simulated time and keeps accounting:
 ///   - compute():  application computation (overlappable with NIC activity)
 ///   - busy():     host work inside the MPI library ("host overhead")
+/// Both return a Delay, not a coroutine, and account their time at the
+/// call, so co_await the result at once.
 /// `in_mpi` tells devices whether the host is currently attentive: protocol
 /// steps that need host intervention (e.g. the IB/GM rendezvous handshake)
 /// are deferred while the rank computes outside MPI.
@@ -472,14 +482,14 @@ class Cpu {
  public:
   explicit Cpu(Engine& eng) : eng_(&eng) {}
 
-  Task<void> compute(Time d) {
+  Delay compute(Time d) {
     compute_time_ += d;
-    co_await eng_->delay(d);
+    return eng_->delay(d);
   }
 
-  Task<void> busy(Time d) {
+  Delay busy(Time d) {
     overhead_time_ += d;
-    co_await eng_->delay(d);
+    return eng_->delay(d);
   }
 
   /// Account overhead without advancing time: used by event-context

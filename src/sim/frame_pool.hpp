@@ -1,8 +1,9 @@
 // Pooled allocation for coroutine frames.
 //
 // A class-B skeleton run spawns millions of transient Task<> frames
-// (Cpu::compute/busy, per-message channel tasks, collective fan-outs);
-// with the default allocator every one of them is a global
+// (MPI calls, per-message channel tasks, collective fan-outs; the leaf
+// waits — Cpu and Pipe pauses, request completions — are frame-free
+// awaiters); with the default allocator every one of them is a global
 // operator-new/delete round trip. This pool routes frame allocation
 // through a per-thread size-binned freelist: after warm-up a frame
 // allocation is a pointer pop and a free is a pointer push.

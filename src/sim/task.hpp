@@ -4,7 +4,10 @@
 // driver) is a tree of Task<> coroutines scheduled by sim::Engine. A Task is
 // lazy: it runs only when co_awaited (or spawned as a process root), and on
 // completion transfers control back to its awaiter via symmetric transfer,
-// so arbitrarily deep call chains use O(1) stack.
+// so arbitrarily deep call chains use O(1) stack. The leaves of the tree —
+// a CPU pause, a pipe slot, a request completion — are plain awaiters
+// (sim::Delay, mpi::Request::DoneAwaiter), not Tasks: a wait whose only job
+// is to schedule one resume of its caller needs no frame of its own.
 #pragma once
 
 #include <coroutine>
@@ -20,8 +23,8 @@ namespace detail {
 
 // PromiseBase inherits PoolAllocated, so every Task<T> coroutine frame is
 // carved from the per-thread frame pool instead of the global allocator —
-// the millions of transient compute()/busy()/channel tasks a skeleton run
-// spawns become freelist pops.
+// the millions of transient MPI-call, channel and collective tasks a
+// skeleton run spawns become freelist pops.
 struct PromiseBase : frame_pool::PoolAllocated {
   std::coroutine_handle<> continuation = std::noop_coroutine();
   std::exception_ptr error;

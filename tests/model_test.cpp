@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "leaf_wait.hpp"
 #include "model/bus.hpp"
 #include "model/memcpy_model.hpp"
 #include "model/nic_tlb.hpp"
@@ -93,6 +94,51 @@ TEST(HostBus, SharedBetweenDirections) {
   EXPECT_EQ(done2, Time::ms(2));
 }
 
+// Each leaf wait reserves its slot at the call and resumes the caller at
+// the slot's end. The pipe is already busy until 1 us when the caller
+// asks at 0.5 us: 1 GB/s, so 500 bytes take 0.5 us, plus a 100 ns fixed
+// cost on data transfers.
+TEST(LeafWait, PipeTransferResumesCallerWithoutAFrame) {
+  Engine eng;
+  Pipe pipe(eng, 1e9, Time::ns(100));
+  pipe.reserve(1000);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, Time::ns(500), [&pipe] { return pipe.transfer(500); });
+  EXPECT_EQ(w.resumed, Time::ns(1600));
+  EXPECT_EQ(w.frames, 0u);
+}
+
+TEST(LeafWait, PipeOccupyResumesCallerWithoutAFrame) {
+  Engine eng;
+  Pipe pipe(eng, 1e9, Time::ns(100));
+  pipe.reserve(1000);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, Time::ns(500), [&pipe] { return pipe.occupy(Time::ns(300)); });
+  EXPECT_EQ(w.resumed, Time::ns(1300));  // pure occupancy: no fixed cost
+  EXPECT_EQ(w.frames, 0u);
+}
+
+TEST(LeafWait, PipeTransferAfterResumesCallerWithoutAFrame) {
+  Engine eng;
+  Pipe pipe(eng, 1e9, Time::ns(100));
+  pipe.reserve(1000);
+  const auto w = mns::test_support::run_leaf_wait(eng, Time::ns(500), [&pipe] {
+    return pipe.transfer_after(Time::ns(300), 500);
+  });
+  EXPECT_EQ(w.resumed, Time::ns(1900));
+  EXPECT_EQ(w.frames, 0u);
+}
+
+TEST(LeafWait, HostBusDmaResumesCallerWithoutAFrame) {
+  Engine eng;
+  HostBus bus(eng, BusConfig{"test", 1e9, Time::ns(100)});
+  bus.pipe().reserve(1000);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, Time::ns(500), [&bus] { return bus.dma(500); });
+  EXPECT_EQ(w.resumed, Time::ns(1600));
+  EXPECT_EQ(w.frames, 0u);
+}
+
 TEST(HostBus, PcixFasterThanPci) {
   const auto pcix = pcix_133();
   const auto pci = pci_66();
@@ -107,7 +153,7 @@ TEST(CrossbarSwitch, IndependentOutputPorts) {
   Time done1, done2, done3;
   auto fwd = [](Engine& e, CrossbarSwitch& s, std::size_t dst,
                 Time& out) -> Task<> {
-    co_await s.forward(dst, 1000);
+    co_await s.port(dst).transfer(1000);
     out = e.now();
   };
   eng.spawn(fwd(eng, sw, 0, done1));

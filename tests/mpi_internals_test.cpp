@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "leaf_wait.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/matcher.hpp"
 #include "mpi/mpi.hpp"
@@ -177,6 +178,28 @@ TEST(Request, CompletionWakesWaiter) {
   EXPECT_EQ(seen.source, 4);
   EXPECT_EQ(seen.tag, 9);
   EXPECT_EQ(seen.bytes, 128u);
+}
+
+TEST(LeafWait, PendingRequestResumesCallerWithoutAFrame) {
+  sim::Engine eng;
+  RequestState st(eng);
+  Request r(&st);
+  eng.after(sim::Time::us(3), [&st] { st.complete(Status{4, 9, 128}); });
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, sim::Time::us(1), [r] { return r.await_done(); });
+  EXPECT_EQ(w.resumed, sim::Time::us(3));
+  EXPECT_EQ(w.frames, 0u);
+}
+
+TEST(LeafWait, CompletedRequestResumesCallerWithoutAFrame) {
+  sim::Engine eng;
+  RequestState st(eng);
+  Request r(&st);
+  st.complete(Status{4, 9, 128});
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, sim::Time::us(1), [r] { return r.await_done(); });
+  EXPECT_EQ(w.resumed, sim::Time::us(1));
+  EXPECT_EQ(w.frames, 0u);
 }
 
 TEST(ReducePayload, AllTypesAndOps) {

@@ -1,10 +1,12 @@
 // Point-to-point MPI semantics across all three devices.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace {
 
@@ -18,6 +20,8 @@ using sim::Task;
 using sim::Time;
 
 class P2PAllNets : public ::testing::TestWithParam<Net> {};
+
+constexpr int kPingPongRounds = 1000;
 
 INSTANTIATE_TEST_SUITE_P(AllNets, P2PAllNets,
                          ::testing::Values(Net::kInfiniBand, Net::kMyrinet,
@@ -250,6 +254,43 @@ TEST_P(P2PAllNets, SyntheticViewsMoveNoData) {
       EXPECT_EQ(st.bytes, 1u << 20);
     }
   });
+}
+
+// Coroutine frames allocated per message of an 8-byte ping-pong, pinned
+// at the count the leaf waits (Cpu, Pipe, Request) reach as plain
+// awaiters: a leaf that turns back into a Task raises it.
+TEST_P(P2PAllNets, PingPongFrameBudgetPerMessage) {
+  ClusterConfig cfg{.nodes = 2, .net = GetParam()};
+  Cluster c(cfg);
+  std::uint64_t frames = 0;
+  c.run([&frames](Comm& comm) -> Task<> {
+    const View buf = View::synth(0x1000 * (comm.rank() + 1), 8);
+    const int peer = 1 - comm.rank();
+    const std::uint64_t before = sim::frame_pool::stats().allocated;
+    for (int i = 0; i < kPingPongRounds; ++i) {
+      if (comm.rank() == 0) {
+        co_await comm.send(buf, peer, 0);
+        co_await comm.recv(buf, peer, 0);
+      } else {
+        co_await comm.recv(buf, peer, 0);
+        co_await comm.send(buf, peer, 0);
+      }
+    }
+    if (comm.rank() == 0) {
+      frames = sim::frame_pool::stats().allocated - before;
+    }
+  });
+  // Rank 1 starts inside rank 0's window, so the count also holds rank
+  // 1's start-up frame; the whole-frames-per-message quotient drops it.
+  const std::uint64_t per_msg = frames / (2 * kPingPongRounds);
+  std::uint64_t budget = 0;
+  switch (GetParam()) {
+    case Net::kInfiniBand: budget = 10; break;
+    case Net::kMyrinet: budget = 12; break;
+    case Net::kQuadrics: budget = 11; break;
+  }
+  EXPECT_LE(per_msg, budget) << frames << " frames in "
+                             << 2 * kPingPongRounds << " messages";
 }
 
 TEST(MpiErrors, BadDestinationThrows) {

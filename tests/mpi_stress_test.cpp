@@ -3,6 +3,7 @@
 // failure-injection for API misuse.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -201,7 +202,7 @@ TEST(MpiMisuse, AlltoallvBadCountsThrow) {
 // and deadlocked on Quadrics (the hardware path waits for a root that never
 // broadcasts); a receive from rank size() never matched. The time limit
 // turns a probe that would poll forever into an error as well.
-void expect_bad_rank(Net net, const Cluster::RankMain& rank_main) {
+void expect_invalid_argument(Net net, const Cluster::RankMain& rank_main) {
   SCOPED_TRACE(static_cast<int>(net));
   ClusterConfig cfg{.nodes = 2, .net = net, .max_sim_time = sim::Time::ms(1)};
   Cluster c(cfg);
@@ -212,10 +213,10 @@ TEST(MpiMisuse, RootOutOfRangeThrows) {
   for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
     for (const mpi::Rank root : {-1, 2}) {
       SCOPED_TRACE(root);
-      expect_bad_rank(net, [root](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [root](Comm& comm) -> Task<> {
         co_await comm.bcast(View::synth(1, 64), root);
       });
-      expect_bad_rank(net, [root](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [root](Comm& comm) -> Task<> {
         co_await comm.reduce(View::synth(1, 64), 8, mpi::Dtype::kDouble,
                              mpi::ROp::kSum, root);
       });
@@ -227,32 +228,53 @@ TEST(MpiMisuse, SourceOutOfRangeThrows) {
   for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
     for (const mpi::Rank bad : {-1, 2}) {
       SCOPED_TRACE(bad);
-      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) co_await comm.recv(View::synth(1, 64), bad, 0);
       });
-      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) {
           Request r = co_await comm.irecv(View::synth(1, 64), bad, 0);
           co_await comm.wait(r);
         }
       });
-      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) co_await comm.probe(bad, 0);
       });
       // sendrecv checks both ranks before it posts its receive.
-      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) {
           co_await comm.sendrecv(View::synth(1, 64), 1, 0,
                                  View::synth(2, 64), bad, 0);
         }
       });
-      expect_bad_rank(net, [bad](Comm& comm) -> Task<> {
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
         if (comm.rank() == 0) {
           co_await comm.sendrecv(View::synth(1, 64), bad, 0,
                                  View::synth(2, 64), 1, 0);
         }
       });
     }
+  }
+}
+
+// A reduction checks its `count` elements of `dtype` against the view
+// before it posts anything, real and synthetic views alike: the combine
+// step would otherwise run past the end of a real buffer.
+TEST(MpiMisuse, ReduceCountBeyondViewThrows) {
+  for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
+    expect_invalid_argument(net, [](Comm& comm) -> Task<> {
+      co_await comm.allreduce(View::synth(1, 64), 9, mpi::Dtype::kDouble,
+                              mpi::ROp::kSum);
+    });
+    expect_invalid_argument(net, [](Comm& comm) -> Task<> {
+      co_await comm.reduce(View::synth(1, 4), 5, mpi::Dtype::kByte,
+                           mpi::ROp::kSum, 0);
+    });
+    expect_invalid_argument(net, [](Comm& comm) -> Task<> {
+      std::int64_t v[4] = {};  // the view covers two of them
+      co_await comm.allreduce(View::out(v, 16), 3, mpi::Dtype::kInt64,
+                              mpi::ROp::kSum);
+    });
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "audit/report.hpp"
+#include "leaf_wait.hpp"
 #include "sim/engine.hpp"
 #include "sim/ladder_queue.hpp"
 #include "sim/task.hpp"
@@ -357,6 +358,26 @@ TEST(Cpu, AccountsComputeAndOverhead) {
   EXPECT_EQ(cpu.compute_time(), Time::us(10));
   EXPECT_EQ(cpu.overhead_time(), Time::us(2));
   EXPECT_EQ(eng.now(), Time::us(17));
+}
+
+TEST(LeafWait, CpuComputeResumesCallerWithoutAFrame) {
+  Engine eng;
+  Cpu cpu(eng);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, Time::us(1), [&cpu] { return cpu.compute(Time::us(10)); });
+  EXPECT_EQ(w.resumed, Time::us(11));
+  EXPECT_EQ(w.frames, 0u);
+  EXPECT_EQ(cpu.compute_time(), Time::us(10));
+}
+
+TEST(LeafWait, CpuBusyResumesCallerWithoutAFrame) {
+  Engine eng;
+  Cpu cpu(eng);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, Time::us(1), [&cpu] { return cpu.busy(Time::us(2)); });
+  EXPECT_EQ(w.resumed, Time::us(3));
+  EXPECT_EQ(w.frames, 0u);
+  EXPECT_EQ(cpu.overhead_time(), Time::us(2));
 }
 
 TEST(Cpu, NestedMpiScopes) {
