@@ -67,10 +67,12 @@ class ElanFabric final : public model::NetFabric {
     return mmu_[static_cast<std::size_t>(node)];
   }
 
-  /// Occupy node's NIC protocol processor (serializes with message
-  /// processing); used by the MPI device for NIC-side tag-match scans.
-  sim::Delay occupy_nic(int node, sim::Time d) {
-    return nic_proc(node).occupy(d);
+  /// Occupy node's NIC protocol processor for `d` from now (serializing
+  /// with message processing) and return the instant that slot ends. The
+  /// MPI device charges its NIC-side tag-match scans here and schedules
+  /// the delivery's next step at the returned instant.
+  sim::Time occupy_nic(int node, sim::Time d) {
+    return nic_proc(node).reserve_after(d, 0);
   }
 
   std::size_t outstanding(int node) const {

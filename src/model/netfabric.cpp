@@ -845,13 +845,7 @@ void NetFabric::deliver(MsgFlow& f) {
             "message delivered with packets still marked lost");
   ++f.shard->delivered;
   if (nic_.ack_processing > sim::Time::zero() && f.msg.src != f.msg.dst) {
-    // Delivery ack returns to the source NIC and occupies its protocol
-    // processor while the send token is retired.
-    f.eng->spawn([](NetFabric& self, sim::Engine& eng,
-                    int src) -> sim::Task<void> {
-      co_await eng.delay(self.nic_.ack_delay);
-      co_await self.nic_proc(src).occupy(self.nic_.ack_processing);
-    }(*this, *f.eng, f.msg.src), /*daemon=*/true);
+    send_delivery_ack(f.msg.src);
   }
   on_delivered(f.msg);
   if (f.msg.complete_on_delivery && f.msg.local_complete) {
@@ -859,6 +853,16 @@ void NetFabric::deliver(MsgFlow& f) {
   }
   if (f.msg.remote_arrival) f.msg.remote_arrival.invoke();
   release_flow(f);
+}
+
+void NetFabric::send_delivery_ack(int src) {
+  // The flow's engine is its source node's, as is the NIC processor's.
+  node_engine(src).after(sim::Time::zero(), [this, src] {
+    node_engine(src).after(nic_.ack_delay, [this, src] {
+      node_engine(src).at(nic_proc(src).reserve_after(nic_.ack_processing, 0),
+                          [] {});
+    });
+  });
 }
 
 void NetFabric::finish_boundary_delivery(MsgFlow& f) {
@@ -1191,14 +1195,9 @@ void NetFabric::wire_land(const sim::pdes::WireMsg& m) {
             "message delivered with packets still marked lost");
   ++f.shard->delivered;
   if (nic_.ack_processing > sim::Time::zero()) {
-    // Delivery ack returns to the source NIC and occupies its protocol
-    // processor while the send token is retired (boundary flows are
-    // never loopback, so the ack always exists when configured).
-    f.eng->spawn([](NetFabric& self, sim::Engine& eng,
-                    int src) -> sim::Task<void> {
-      co_await eng.delay(self.nic_.ack_delay);
-      co_await self.nic_proc(src).occupy(self.nic_.ack_processing);
-    }(*this, *f.eng, f.msg.src), /*daemon=*/true);
+    // Boundary flows are never loopback, so the ack always exists when
+    // configured.
+    send_delivery_ack(f.msg.src);
   }
   on_delivered(f.msg);
   if (f.msg.complete_on_delivery && f.msg.local_complete) {

@@ -418,6 +418,13 @@ class NetFabric {
 
   void flow_step(MsgFlow& f, std::uintptr_t word);
   void deliver(MsgFlow& f);
+  /// The delivery ack of a message from `src`: it returns to the source
+  /// NIC after ack_delay and occupies its protocol processor for
+  /// ack_processing while the send token is retired. Three plain events
+  /// on `src`'s engine: a start at now, the ack's arrival, and the end of
+  /// the processor slot. The last runs no code, yet it stays: it can be
+  /// a run's final event, which sets the clock a run reports.
+  void send_delivery_ack(int src);
 
   // Recovery machine (all no-ops unless a fault plan is installed).
   void lose_packet(MsgFlow& f, std::uint64_t p);

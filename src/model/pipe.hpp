@@ -15,6 +15,11 @@
 //     arithmetic without the awaiter; callers get back the absolute
 //     completion time and schedule their own continuation. This is what
 //     the pooled message state machines in NetFabric drive.
+//
+// Every packet stage reserves a slot, and the packets of one message
+// share one size, so a pipe memoizes the serialization time of the last
+// byte count it reserved and divides only when the size changes. The memo
+// is exact: sim::transfer_time is pure and a pipe's rate never changes.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +90,11 @@ class Pipe {
   sim::Time take_slot(sim::Time lead, std::uint64_t bytes) {
     const sim::Time now = eng_->now();
     const sim::Time start = busy_until_ > now ? busy_until_ : now;
-    const sim::Time ser = lead + sim::transfer_time(bytes, rate_);
+    if (bytes != memo_bytes_) {
+      memo_bytes_ = bytes;
+      memo_ser_ = sim::transfer_time(bytes, rate_);
+    }
+    const sim::Time ser = lead + memo_ser_;
     busy_until_ = start + ser;
     busy_time_ += ser;
     bytes_moved_ += bytes;
@@ -93,8 +102,12 @@ class Pipe {
   }
 
   sim::Engine* eng_;
-  double rate_;
+  const double rate_;
   sim::Time fixed_cost_;
+  // Serialization memo: transfer_time(memo_bytes_, rate_). The initial
+  // (0 bytes, 0 ps) pair is transfer_time(0, rate_).
+  std::uint64_t memo_bytes_ = 0;
+  sim::Time memo_ser_;
   sim::Time busy_until_;
   sim::Time busy_time_;
   std::uint64_t bytes_moved_ = 0;

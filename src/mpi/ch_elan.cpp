@@ -30,7 +30,11 @@ ElanChannelConfig default_elan_channel_config() {
 
 ElanChannel::ElanChannel(Mpi& mpi, elan::ElanFabric& fabric,
                          ElanChannelConfig cfg)
-    : mpi_(&mpi), fabric_(&fabric), cfg_(cfg), msgs_(fabric) {}
+    : mpi_(&mpi),
+      fabric_(&fabric),
+      cfg_(cfg),
+      msgs_(fabric),
+      deliveries_(fabric) {}
 
 std::uint64_t ElanChannel::memory_bytes(int node) const {
   return fabric_->memory_bytes(node);
@@ -136,8 +140,12 @@ void ElanChannel::on_arrival(Msg* m) {
     // The scan + MMU work occupies the NIC processor, serializing with
     // other arrivals (this is what makes a many-receiver burst like
     // alltoall expensive on Quadrics, Fig. 11).
-    mpi_->engine_of(env.dst).spawn(deliver(dnode, stall, *pr, env),
-                                   /*daemon=*/true);
+    Delivery* d = deliveries_.acquire(dnode, dnode, 1);
+    d->req = pr->req;
+    d->status = status_of(env);
+    d->dst = env.dst;
+    d->stall = stall;
+    rp.engine().after(sim::Time::zero(), [this, d] { deliver(d); });
     return;
   }
 
@@ -151,11 +159,15 @@ void ElanChannel::on_arrival(Msg* m) {
       {env, [this, m](PostedRecv pr) { return claim(m, pr); }});
 }
 
-sim::Task<void> ElanChannel::deliver(int dnode, sim::Time stall,
-                                     PostedRecv pr, Envelope env) {
-  co_await fabric_->occupy_nic(dnode, stall);
-  co_await mpi_->engine_of(env.dst).delay(cfg_.o_complete);
-  pr.req->complete(status_of(env));
+void ElanChannel::deliver(Delivery* d) {
+  const sim::Time nic_done =
+      fabric_->occupy_nic(mpi_->node_of(d->dst), d->stall);
+  mpi_->engine_of(d->dst).at(nic_done, [this, d] {
+    mpi_->engine_of(d->dst).after(cfg_.o_complete, [d] {
+      d->req->complete(d->status);
+      release(d);
+    });
+  });
 }
 
 sim::Task<void> ElanChannel::claim(Msg* m, PostedRecv pr) {

@@ -62,11 +62,23 @@ class ElanChannel final : public Device {
     std::vector<std::byte> payload;  // buffered or unexpected real data
   };
 
+  /// A NIC delivery into a posted receive, after the payload has landed:
+  /// the NIC work still to charge and the completion it ends in. Kept
+  /// apart from Msg so the payload-carrying record is released at once.
+  struct Delivery : PooledRecord<Delivery> {
+    RequestState* req = nullptr;  // the matched receive
+    Status status;
+    Rank dst = 0;
+    sim::Time stall;  // NIC scan + MMU work for the match
+  };
+
   void complete_send(Msg* m);
   void fail_send(Msg* m);
   void on_arrival(Msg* m);
-  sim::Task<void> deliver(int dnode, sim::Time stall, PostedRecv pr,
-                          Envelope env);
+  /// Start event of a NIC delivery: occupy the NIC processor for the
+  /// stall, then complete the receive o_complete after that slot ends.
+  /// Each step is an EventFn over the record, without a coroutine frame.
+  void deliver(Delivery* d);
   sim::Task<void> claim(Msg* m, PostedRecv pr);
   sim::Task<void> claim_error(Msg* m, PostedRecv pr);
   /// Fabric retry exhaustion: surface the error envelope through NIC
@@ -77,6 +89,7 @@ class ElanChannel final : public Device {
   elan::ElanFabric* fabric_;
   ElanChannelConfig cfg_;
   Records<Msg> msgs_;
+  Records<Delivery> deliveries_;
 };
 
 }  // namespace mns::mpi

@@ -99,8 +99,8 @@ void RdvChannel::match_buffered(Buffered* b) {
     // Completion processing runs on the receiving host CPU: concurrent
     // arrivals serialize through the rank's host-work queue.
     rp.cpu().accrue_overhead(b->cost);
-    mpi_->engine_of(b->env.dst)
-        .spawn(deliver_buffered(rp, b, *pr), /*daemon=*/true);
+    b->recv = *pr;
+    rp.engine().after(sim::Time::zero(), [this, b] { deliver_buffered(b); });
   } else {
     rp.matcher().add_unexpected(
         {b->env,
@@ -119,12 +119,12 @@ void copy_out(const std::vector<std::byte>& payload, const Envelope& env,
 }
 }  // namespace
 
-sim::Task<void> RdvChannel::deliver_buffered(Proc& rp, Buffered* b,
-                                             PostedRecv pr) {
-  co_await rp.host_work().occupy(b->cost);
-  copy_out(b->payload, b->env, pr);
-  pr.req->complete(status_of(b->env));
-  release(b);
+void RdvChannel::deliver_buffered(Buffered* b) {
+  mpi_->proc(b->env.dst).after_host_work(b->cost, [b] {
+    copy_out(b->payload, b->env, b->recv);
+    b->recv.req->complete(status_of(b->env));
+    release(b);
+  });
 }
 
 sim::Task<void> RdvChannel::claim_buffered(Buffered* b, PostedRecv pr) {
@@ -325,10 +325,9 @@ void RdvChannel::match_rts(Rdv* r) {
   if (auto pr = rp.matcher().match_arrival(r->send.env)) {
     r->recv = *pr;
     r->recv_matched = true;
-    const sim::Time cost = cts_cost(r);
-    rp.cpu().accrue_overhead(cost);
-    mpi_->engine_of(r->send.env.dst)
-        .spawn(send_cts_after(rp, cost, r), /*daemon=*/true);
+    r->cts_cost = cts_cost(r);
+    rp.cpu().accrue_overhead(r->cts_cost);
+    rp.engine().after(sim::Time::zero(), [this, r] { send_cts_after(r); });
   } else {
     rp.matcher().add_unexpected(
         {r->send.env, [this, r](PostedRecv pr) { return claim_rts(r, pr); }});
@@ -356,9 +355,9 @@ sim::Task<void> RdvChannel::claim_rts(Rdv* r, PostedRecv pr) {
   post_cts(r);
 }
 
-sim::Task<void> RdvChannel::send_cts_after(Proc& rp, sim::Time cost, Rdv* r) {
-  co_await rp.host_work().occupy(cost);
-  post_cts(r);
+void RdvChannel::send_cts_after(Rdv* r) {
+  mpi_->proc(r->send.env.dst).after_host_work(r->cts_cost,
+                                              [this, r] { post_cts(r); });
 }
 
 void RdvChannel::post_cts(Rdv* r) {
@@ -382,14 +381,13 @@ void RdvChannel::on_cts(Rdv* r) {
     // CTS processing occupies the sender host before the data goes out;
     // with many rendezvous sends in flight these serialize — part of why
     // the paper's Fig. 2 bandwidth dips at the eager->rendezvous switch.
-    mpi_->engine_of(r->send.env.src)
-        .spawn(send_data_after(sp2, r), /*daemon=*/true);
+    sp2.engine().after(sim::Time::zero(), [this, r] { send_data_after(r); });
   });
 }
 
-sim::Task<void> RdvChannel::send_data_after(Proc& sp, Rdv* r) {
-  co_await sp.host_work().occupy(cfg_.o_ctrl);
-  post_rendezvous_data(r);
+void RdvChannel::send_data_after(Rdv* r) {
+  mpi_->proc(r->send.env.src).after_host_work(
+      cfg_.o_ctrl, [this, r] { post_rendezvous_data(r); });
 }
 
 void RdvChannel::post_rendezvous_data(Rdv* r) {
@@ -443,15 +441,15 @@ void RdvChannel::on_data_sent(Rdv* r) {
 void RdvChannel::on_fin(Rdv* r) {
   auto& rp = mpi_->proc(r->send.env.dst);
   rp.cpu().accrue_overhead(cfg_.o_recv);
-  mpi_->engine_of(r->send.env.dst)
-      .spawn(complete_fin(rp, r), /*daemon=*/true);
+  rp.engine().after(sim::Time::zero(), [this, r] { complete_fin(r); });
 }
 
-sim::Task<void> RdvChannel::complete_fin(Proc& rp, Rdv* r) {
-  co_await rp.host_work().occupy(cfg_.o_recv);
-  r->recv_done = true;
-  r->recv.req->complete(status_of(r->send.env));
-  release(r);
+void RdvChannel::complete_fin(Rdv* r) {
+  mpi_->proc(r->send.env.dst).after_host_work(cfg_.o_recv, [r] {
+    r->recv_done = true;
+    r->recv.req->complete(status_of(r->send.env));
+    release(r);
+  });
 }
 
 }  // namespace mns::mpi

@@ -87,6 +87,7 @@ class RdvChannel final : public Device {
     RequestState* req = nullptr;
     bool local_done = false;
     sim::Time cost;  // receiver host cost, fixed when the data arrives
+    PostedRecv recv;  // the posted receive it matched on arrival, if any
     std::vector<std::byte> payload;  // real payloads only; capacity kept
   };
 
@@ -97,6 +98,7 @@ class RdvChannel final : public Device {
   struct Rdv : PooledRecord<Rdv> {
     SendOp send;
     PostedRecv recv;
+    sim::Time cts_cost;  // receiver host work before the CTS goes out
     bool recv_matched = false;  // receiver side
     bool recv_done = false;     // receiver side
     bool send_done = false;     // sender side
@@ -124,14 +126,19 @@ class RdvChannel final : public Device {
   void on_data_sent(Rdv* r);
   void on_fin(Rdv* r);
 
-  // Host-work continuations, spawned or claimed on the receiving rank.
-  sim::Task<void> deliver_buffered(Proc& rp, Buffered* b, PostedRecv pr);
+  // Host-work continuations of an arrival that found its receive posted
+  // (the data leg's runs on the sender). Each is a start event scheduled
+  // at the arrival instant: it occupies the rank's host-work pipe, and a
+  // second event runs the rest when that slot ends. Both are plain
+  // EventFns over the record, so no coroutine frame is allocated.
+  void deliver_buffered(Buffered* b);
+  void send_cts_after(Rdv* r);
+  void send_data_after(Rdv* r);
+  void complete_fin(Rdv* r);
+  // Unexpected arrivals: claimed later inside the receive call.
   sim::Task<void> claim_buffered(Buffered* b, PostedRecv pr);
   sim::Task<void> claim_error(Buffered* b, PostedRecv pr);
   sim::Task<void> claim_rts(Rdv* r, PostedRecv pr);
-  sim::Task<void> send_cts_after(Proc& rp, sim::Time cost, Rdv* r);
-  sim::Task<void> send_data_after(Proc& sp, Rdv* r);
-  sim::Task<void> complete_fin(Proc& rp, Rdv* r);
   void post_cts(Rdv* r);
   /// Receive-buffer pinning cost before the CTS can advertise it.
   sim::Time cts_cost(Rdv* r);

@@ -64,10 +64,8 @@ void Comm::trace(prof::EventKind kind, const char* op, Rank peer,
   tr->record(ev);
 }
 
-sim::Task<void> Comm::compute(double seconds) {
-  const double tt0 = wtime();
-  co_await cpu().compute(sim::Time::seconds(seconds));
-  trace(prof::EventKind::kCompute, "compute", kAnySource, 0, tt0);
+Comm::ComputeAwaiter Comm::compute(double seconds) {
+  return ComputeAwaiter(*this, cpu().compute(sim::Time::seconds(seconds)));
 }
 
 View Comm::slice(const View& v, std::uint64_t offset, std::uint64_t len) {
@@ -163,11 +161,8 @@ sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
   return irecv_impl(buf, src, tag);
 }
 
-sim::Task<Status> Comm::wait(Request req) {
-  auto& p = mpi_->proc(rank_);
-  sim::MpiScope scope(p.cpu());
-  p.drain_deferred();
-  co_return co_await req.await_done();
+Comm::WaitAwaiter Comm::wait(Request req) {
+  return WaitAwaiter(mpi_->proc(rank_), std::move(req));
 }
 
 sim::Task<void> Comm::wait_all(std::vector<Request> reqs) {
@@ -205,13 +200,13 @@ sim::Task<Status> Comm::probe(Rank src, Tag tag) {
   // event remains, since polling keeps the queue alive).
   if (src != kAnySource) check_rank(src, "bad source rank");
   auto& p = mpi_->proc(rank_);
+  // The host stays inside MPI across the poll pauses too, so protocol
+  // work arriving mid-poll (an RTS) is handled, not deferred.
+  sim::MpiScope scope(p.cpu());
   for (;;) {
-    {
-      sim::MpiScope scope(p.cpu());
-      p.drain_deferred();
-      if (const Unexpected* u = p.matcher().peek_unexpected(src, tag)) {
-        co_return Status{u->env.src, u->env.tag, u->env.bytes};
-      }
+    p.drain_deferred();
+    if (const Unexpected* u = p.matcher().peek_unexpected(src, tag)) {
+      co_return Status{u->env.src, u->env.tag, u->env.bytes};
     }
     co_await p.cpu().busy(sim::Time::ns(200));  // poll cadence
   }

@@ -1,5 +1,6 @@
 // The public MPI-like API. One Comm object per rank, all sharing the Mpi
-// job. Calls are coroutines awaited inside the rank's simulated process.
+// job. Calls are awaited inside the rank's simulated process: most are
+// coroutines, while wait and compute are plain awaiters without a frame.
 //
 // Naming follows MPI-1 (send/recv/isend/irecv/wait/collectives); buffers
 // are Views (real or synthetic; see mpi/types.hpp).
@@ -39,9 +40,53 @@ class Comm {
   /// application-level timestamp: bit-identical across partition counts.
   sim::Time now() const { return mpi_->engine_of(rank_).now(); }
 
+  /// What compute() returns: the rank's Cpu pause, and the trace event
+  /// its caller records on resuming. A plain awaiter with no coroutine
+  /// frame of its own, timed from the call: co_await it at once.
+  class [[nodiscard]] ComputeAwaiter {
+   public:
+    ComputeAwaiter(const Comm& comm, sim::Delay pause)
+        : comm_(&comm), t_start_(comm.wtime()), pause_(pause) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { pause_.await_suspend(h); }
+    void await_resume() const {
+      comm_->trace(prof::EventKind::kCompute, "compute", kAnySource, 0,
+                   t_start_);
+    }
+
+   private:
+    const Comm* comm_;
+    double t_start_;
+    sim::Delay pause_;
+  };
+
+  /// What wait() returns. The call enters MPI and runs the rank's
+  /// deferred protocol work; awaiting it waits for the request without a
+  /// coroutine frame of its own. The rank leaves MPI as its caller
+  /// resumes, or when a frame destroyed mid-wait drops the awaiter.
+  /// co_await it at once.
+  class [[nodiscard]] WaitAwaiter {
+   public:
+    WaitAwaiter(Proc& p, Request req) : scope_(p.cpu()), req_(std::move(req)) {
+      p.drain_deferred();
+    }
+    bool await_ready() const noexcept { return req_.done(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      req_.await_done().await_suspend(h);
+    }
+    Status await_resume() {
+      scope_.leave();
+      return req_.status();
+    }
+
+   private:
+    sim::MpiScope scope_;
+    Request req_;
+  };
+
   /// Application computation for `seconds` (outside MPI: devices without
   /// NIC-side protocol engines cannot make rendezvous progress meanwhile).
-  sim::Task<void> compute(double seconds);
+  ComputeAwaiter compute(double seconds);
 
   // --- point-to-point ----------------------------------------------------
 
@@ -50,7 +95,7 @@ class Comm {
   sim::Task<Request> isend(View buf, Rank dst, Tag tag);
   sim::Task<Request> irecv(View buf, Rank src = kAnySource,
                            Tag tag = kAnyTag);
-  sim::Task<Status> wait(Request req);
+  WaitAwaiter wait(Request req);
   sim::Task<void> wait_all(std::vector<Request> reqs);
   /// Blocking probe: wait until a matching message has arrived
   /// (MPI_Probe). The message stays queued for a later recv.

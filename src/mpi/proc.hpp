@@ -33,6 +33,11 @@ class Proc {
   /// the rank has ONE CPU, so concurrent arrivals queue — this is what
   /// makes incast patterns (alltoall fan-in) expensive.
   model::Pipe& host_work() { return host_work_; }
+  /// Occupy the host-work pipe for `cost` from now and run `fn` as an
+  /// event when that slot ends: a device continuation without a frame.
+  void after_host_work(sim::Time cost, sim::EventFn fn) {
+    eng_->at(host_work_.reserve_after(cost, 0), std::move(fn));
+  }
   Matcher& matcher() { return matcher_; }
   /// This rank's request states (touched only on the rank's partition).
   RequestPool& requests() { return requests_; }

@@ -93,19 +93,6 @@ MNS_HOT std::uint32_t Engine::queue_push(Key key, EventFn&& fn) {
   return slot;
 }
 
-// MNS_HOT: the free-list push_back recycles slab capacity (amortized).
-MNS_HOT EventFn Engine::queue_pop(Key& key) {
-  // Fetch the *next* pop's payload a whole event ahead of its use.
-  if (const auto* next = queue_.peek_second()) {
-    __builtin_prefetch(&slab_[next->slot]);
-  }
-  const auto e = queue_.pop();
-  key = e.key;
-  EventFn top = std::move(slab_[e.slot]);
-  slab_free_.push_back(e.slot);
-  return top;
-}
-
 // MNS_HOT: roots_ grows amortized; slots are compacted on completion and
 // capacity persists for the lifetime of the engine.
 MNS_HOT void Engine::spawn(Task<> t, bool daemon) {
@@ -127,7 +114,7 @@ bool Engine::step() {
   if (events_processed_ >= event_limit_) throw EventLimitError(event_limit_);
   std::int64_t at_ps;
   std::uint64_t seq;
-  EventFn fn;
+  EventFn::Words fn;
   // The now-queue holds events at exactly now() in seq (FIFO) order; a
   // queued event competes only when it carries the same timestamp with a
   // smaller seq (scheduled for this instant before the clock reached it).
@@ -139,22 +126,27 @@ bool Engine::step() {
     }
   }
   if (take_queue) {
-    Key key{};
-    fn = queue_pop(key);
-    if (!fn) {
+    // Fetch the *next* pop's payload a whole event ahead of its use.
+    if (const auto* next = queue_.peek_second()) {
+      __builtin_prefetch(&slab_[next->slot]);
+    }
+    const auto e = queue_.pop();
+    fn = slab_[e.slot].release();
+    free_slot(e.slot);
+    if (fn.fn == nullptr) {
       // Cancelled tombstone: discard without advancing the clock, counting
       // an event, or consulting the event limit budget beyond this check.
       MNS_AUDIT(tombstones_ > 0, "tombstone popped with zero outstanding");
       --tombstones_;
       goto again;
     }
-    at_ps = key.at_ps();
-    seq = key.seq();
+    at_ps = e.key.at_ps();
+    seq = e.key.seq();
   } else {
     NowEvent& ne = nowq_[nowq_head_++];
     at_ps = now_.count_ps();
     seq = ne.seq;
-    fn = std::move(ne.fn);
+    fn = ne.fn.release();
     if (nowq_head_ == nowq_.size()) {
       nowq_.clear();
       nowq_head_ = 0;
@@ -162,7 +154,9 @@ bool Engine::step() {
   }
   if (at_ps > time_limit_ps_) {
     // Progress watchdog horizon crossed: the queue is still live (this
-    // event would have run), so this is a livelock, not a deadlock.
+    // event would have run), so this is a livelock, not a deadlock. The
+    // popped payload is dropped unrun (a boxed closure is reclaimed).
+    const EventFn unrun(fn.fn, fn.a, fn.b);
     throw LivelockError(
         "engine clock would cross the configured time limit (" +
         Time::ps(time_limit_ps_).str() + ")\n  now           = " +
@@ -172,13 +166,18 @@ bool Engine::step() {
         "\n  live procs    = " + std::to_string(live_));
   }
 #if defined(MNS_AUDIT_ENABLED)
-  MNS_AUDIT(at_ps >= now_.count_ps(),
-            "event time regressed behind the clock");
-  MNS_AUDIT(events_processed_ == 0 || at_ps > audit_last_at_.count_ps() ||
-                (at_ps == audit_last_at_.count_ps() &&
-                 seq > audit_last_seq_),
-            "determinism tie-break violated: equal-time events must pop "
-            "in schedule (seq) order");
+  {
+    // A failed audit drops the popped payload unrun, like the time limit.
+    EventFn held(fn.fn, fn.a, fn.b);
+    MNS_AUDIT(at_ps >= now_.count_ps(),
+              "event time regressed behind the clock");
+    MNS_AUDIT(events_processed_ == 0 || at_ps > audit_last_at_.count_ps() ||
+                  (at_ps == audit_last_at_.count_ps() &&
+                   seq > audit_last_seq_),
+              "determinism tie-break violated: equal-time events must pop "
+              "in schedule (seq) order");
+    fn = held.release();
+  }
   audit_last_at_ = Time::ps(at_ps);
   audit_last_seq_ = seq;
 #else
@@ -186,7 +185,7 @@ bool Engine::step() {
 #endif
   now_ = Time::ps(at_ps);
   ++events_processed_;
-  fn.invoke();
+  EventFn::invoke(fn);
   return true;
 }
 
@@ -208,9 +207,9 @@ std::int64_t Engine::next_event_at_ps() {
     const auto& top = queue_.top();
     if (slab_[top.slot]) return top.key.at_ps();
     // Cancelled tombstone on top: discard it so the reported time names
-    // an event that will actually run (same bookkeeping as step()).
-    Key key{};
-    (void)queue_pop(key);
+    // an event that will actually run (same bookkeeping as step()). Its
+    // slot is already empty; only the slot goes back to the free list.
+    free_slot(queue_.pop().slot);
     MNS_AUDIT(tombstones_ > 0, "tombstone popped with zero outstanding");
     --tombstones_;
   }

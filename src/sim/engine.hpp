@@ -17,6 +17,11 @@
 //     queue orders 16-byte packed (at, seq) keys and 4-byte slab slots;
 //     the 24-byte payloads sit still in a recycled slab. Events
 //     scheduled at exactly now() skip the queue via a FIFO now-queue.
+//   - step() pops in place: it takes the winning payload's three words
+//     out of its slab slot (or now-queue entry) and calls them. An
+//     EventFn returned by value from an out-of-line pop would be reloaded
+//     with one 16-byte load over two 8-byte stores, a store-forwarding
+//     stall on every future event.
 #pragma once
 
 #include <coroutine>
@@ -152,16 +157,33 @@ class EventFn {
 
   explicit operator bool() const noexcept { return fn_ != nullptr; }
 
-  /// Run the payload. Single-shot: consumes a boxed closure.
-  void invoke() {
-    const Raw fn = std::exchange(fn_, nullptr);
-    if (fn == &boxed_thunk) {
-      std::unique_ptr<BoxedBase> box(static_cast<BoxedBase*>(a_));
+  /// The three words of a payload taken out of its EventFn, so the event
+  /// loop can carry them from the queue slot to the call in registers.
+  struct Words {
+    Raw fn;
+    void* a;
+    void* b;
+  };
+
+  /// Empty this EventFn and hand its words (and a boxed closure's
+  /// ownership) to the caller, who must pass them to invoke(Words) or
+  /// back to an EventFn.
+  Words release() noexcept {
+    return Words{std::exchange(fn_, nullptr), a_, b_};
+  }
+
+  /// Run released words. Single-shot: consumes a boxed closure.
+  static void invoke(Words w) {
+    if (w.fn == &boxed_thunk) {
+      std::unique_ptr<BoxedBase> box(static_cast<BoxedBase*>(w.a));
       box->call();
     } else {
-      fn(a_, b_);
+      w.fn(w.a, w.b);
     }
   }
+
+  /// Run the payload. Single-shot: consumes a boxed closure.
+  void invoke() { invoke(release()); }
 
  private:
   struct BoxedBase {
@@ -422,7 +444,8 @@ class alignas(64) Engine {
 
   void schedule_future(std::int64_t at_ps, EventFn&& fn);
   std::uint32_t queue_push(Key key, EventFn&& fn);
-  EventFn queue_pop(Key& key);
+  /// MNS_HOT: the free-list push_back recycles slab capacity (amortized).
+  MNS_HOT void free_slot(std::uint32_t slot) { slab_free_.push_back(slot); }
 
   bool step();  // pop and run one event; false if queue empty
   void retire(std::coroutine_handle<> h);  // process done: reclaim its frame
@@ -513,13 +536,19 @@ class Cpu {
   int mpi_depth_ = 0;
 };
 
-/// RAII guard marking "the host is inside an MPI call".
+/// RAII guard marking "the host is inside an MPI call". leave() ends the
+/// call early (an awaiter leaves MPI as it resumes its caller, not when
+/// the awaiter itself dies).
 class MpiScope {
  public:
   explicit MpiScope(Cpu& cpu) : cpu_(&cpu) { cpu_->enter_mpi(); }
-  ~MpiScope() { cpu_->exit_mpi(); }
+  ~MpiScope() {
+    if (cpu_) cpu_->exit_mpi();
+  }
   MpiScope(const MpiScope&) = delete;
   MpiScope& operator=(const MpiScope&) = delete;
+
+  void leave() { std::exchange(cpu_, nullptr)->exit_mpi(); }
 
  private:
   Cpu* cpu_;

@@ -124,6 +124,52 @@ TEST(AppsMisc, BandwidthBoundAppFavorsInfiniBand) {
   EXPECT_GT(my.app_seconds, ib.app_seconds * 1.15);
 }
 
+// The simulated event stream of twelve class-B skeleton cells, pinned
+// exactly: the number of events run and the final clock. The benchmark's
+// recorded cells check results, not the stream, so dropping or adding a
+// zero-effect event (such as a delivery ack's final slot end) shows only
+// here. Between them the cells reach eager and shared-memory delivery,
+// the rendezvous CTS, data and FIN steps, Elan NIC delivery, and the GM
+// and Elan delivery acks.
+TEST(AppsMisc, SkeletonEventStreamIsPinned) {
+  struct Cell {
+    const char* app;
+    Net net;
+    std::size_t nodes;
+    int ppn;
+    std::uint64_t events;
+    std::int64_t now_ps;
+  };
+  const Cell cells[] = {
+      {"is", Net::kInfiniBand, 4, 1, 60'833, 3'370'136'089'734},
+      {"is", Net::kMyrinet, 4, 1, 82'068, 4'418'011'008'980},
+      {"is", Net::kQuadrics, 4, 1, 61'342, 4'171'981'944'164},
+      {"ft", Net::kInfiniBand, 4, 1, 101'531, 74'989'361'882'555},
+      {"ft", Net::kMyrinet, 4, 1, 137'544, 82'425'156'718'410},
+      {"ft", Net::kQuadrics, 4, 1, 97'090, 80'661'105'769'096},
+      {"is", Net::kInfiniBand, 2, 2, 54'854, 3'964'539'379'463},
+      {"is", Net::kMyrinet, 2, 2, 54'518, 4'956'988'368'820},
+      {"is", Net::kQuadrics, 2, 2, 56'300, 5'557'659'550'790},
+      {"ft", Net::kInfiniBand, 2, 2, 95'843, 79'693'666'036'672},
+      {"ft", Net::kMyrinet, 2, 2, 92'336, 86'347'684'982'084},
+      {"ft", Net::kQuadrics, 2, 2, 91'392, 90'752'603'658'696},
+  };
+  for (const Cell& cell : cells) {
+    ClusterConfig cfg{.nodes = cell.nodes, .ppn = cell.ppn, .net = cell.net};
+    Cluster c(cfg);
+    const auto& spec = apps::find_app(cell.app);
+    c.run([&spec](Comm& comm) -> Task<> {
+      (void)co_await spec.run_full(comm, Mode::kSkeleton);
+    });
+    const std::string id = std::string(cell.app) + " net " +
+                           std::to_string(static_cast<int>(cell.net)) + " " +
+                           std::to_string(cell.nodes) + "x" +
+                           std::to_string(cell.ppn);
+    EXPECT_EQ(c.engine().events_processed(), cell.events) << id;
+    EXPECT_EQ(c.now().count_ps(), cell.now_ps) << id;
+  }
+}
+
 TEST(AppsMisc, CgQuadricsSkeletonIgnoresEarlierCells) {
   // A skeleton cell's simulated time must be a function of the cell
   // alone, not of host memory layout: the same class-B cg cell over

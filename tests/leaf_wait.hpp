@@ -1,9 +1,9 @@
 // Shared by the leaf-wait tests of the sim, model and MPI layers.
 //
 // A leaf wait (Cpu::compute/busy, Pipe::transfer/occupy/transfer_after,
-// HostBus::dma, Request::await_done) is a plain awaiter: awaiting it
-// schedules the caller's own resume at the reserved instant and allocates
-// no coroutine frame.
+// HostBus::dma, Request::await_done, Comm::wait/compute) is a plain
+// awaiter: awaiting it schedules the caller's own resume at the reserved
+// instant and allocates no coroutine frame.
 #pragma once
 
 #include <cstdint>

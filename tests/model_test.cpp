@@ -65,6 +65,29 @@ TEST(Pipe, FifoQueueingUnderContention) {
   EXPECT_EQ(pipe.busy_time(), Time::ns(500));
 }
 
+// Mixed sizes on one pipe: the serialization memo must track every size
+// change, so each slot equals sim::transfer_time of its own size. At
+// 3e8 B/s the times round to the picosecond (2048 B is 6826666.67 ps,
+// 37 B is 123333.33 ps).
+TEST(Pipe, MixedSizesMatchTransferTimeEachSlot) {
+  Engine eng;
+  const double rate = 3e8;
+  Pipe pipe(eng, rate);
+  const std::uint64_t sizes[] = {2048, 37, 2048, 0, 2048, 2048, 37};
+  Time end = Time::zero();
+  Time sum = Time::zero();
+  for (const std::uint64_t b : sizes) {
+    const Time slot = sim::transfer_time(b, rate);
+    end = end + slot;
+    sum = sum + slot;
+    EXPECT_EQ(pipe.reserve(b), end) << b << " bytes";
+  }
+  EXPECT_EQ(sim::transfer_time(2048, rate), Time::ps(6826667));
+  EXPECT_EQ(sim::transfer_time(37, rate), Time::ps(123333));
+  EXPECT_EQ(pipe.busy_time(), sum);
+  EXPECT_EQ(pipe.bytes_moved(), 4 * 2048u + 2 * 37);
+}
+
 TEST(Pipe, ZeroByteTransferPaysFixedCostOnly) {
   Engine eng;
   Pipe pipe(eng, 1e9, Time::ns(100));

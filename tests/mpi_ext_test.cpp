@@ -1,5 +1,6 @@
-// Extended MPI API: probe (blocking, with wildcards), the non-blocking
-// matcher peek under it, and early completion of a small eager send.
+// Extended MPI API: probe (blocking, with wildcards, and handling
+// rendezvous protocol work between its polls), the non-blocking matcher
+// peek under it, and early completion of a small eager send.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -113,6 +114,44 @@ TEST_P(ExtAllNets, PlainSmallSendDoesNotWait) {
     }
   });
   EXPECT_LT(send_done, 100e-6);
+}
+
+TEST_P(ExtAllNets, RendezvousProgressesWhileProbing) {
+  // A blocked probe spins inside MPI like a blocked wait, so protocol
+  // work arriving between its polls (the RTS of a rendezvous send) is
+  // handled at once, not deferred as if the rank were computing. Rank 1's
+  // 64 KB send to a posted receive must complete at the same instant
+  // whether rank 0 waits on that receive or probes for a later message.
+  const auto send_done = [](Net net, bool probe) {
+    ClusterConfig cfg{.nodes = 2, .net = net};
+    Cluster c(cfg);
+    std::int64_t done_ps = 0;
+    c.run([&](Comm& comm) -> Task<> {
+      const View big = View::synth(0x100000, 64 << 10);
+      const View small = View::synth(0x400000, 8);
+      if (comm.rank() == 0) {
+        mpi::Request r = co_await comm.irecv(big, 1, 1);
+        if (probe) {
+          const auto st = co_await comm.probe(1, 2);
+          EXPECT_EQ(st.bytes, 8u);
+          co_await comm.recv(small, 1, 2);
+          co_await comm.wait(r);
+        } else {
+          co_await comm.wait(r);
+          co_await comm.recv(small, 1, 2);
+        }
+      } else {
+        co_await comm.send(big, 0, 1);
+        done_ps = comm.now().count_ps();
+        co_await comm.compute(200e-6);
+        co_await comm.send(small, 0, 2);
+      }
+    });
+    return done_ps;
+  };
+  const std::int64_t waiting = send_done(GetParam(), false);
+  EXPECT_GT(waiting, 0);
+  EXPECT_EQ(send_done(GetParam(), true), waiting);
 }
 
 TEST_P(ExtAllNets, ProbeWithWildcards) {

@@ -202,6 +202,60 @@ TEST(LeafWait, CompletedRequestResumesCallerWithoutAFrame) {
   EXPECT_EQ(w.frames, 0u);
 }
 
+// Comm::wait and Comm::compute are plain awaiters too. wait enters MPI at
+// the call and leaves it as the caller resumes; compute records its
+// trace event then.
+TEST(LeafWait, CommWaitOnPendingRequestResumesCallerWithoutAFrame) {
+  sim::Engine eng;
+  Mpi mpi(eng, Topology::block(1, 1));
+  Comm comm(mpi, 0);
+  RequestState st(eng);
+  Request r(&st);
+  bool in_mpi_mid_wait = false;
+  eng.after(sim::Time::us(2), [&] {
+    in_mpi_mid_wait = mpi.proc(0).cpu().in_mpi();
+  });
+  // A plain engine event completes the request.
+  eng.after(sim::Time::us(3), [&st] { st.complete(Status{4, 9, 128}); });
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, sim::Time::us(1), [&comm, r] { return comm.wait(r); });
+  EXPECT_EQ(w.resumed, sim::Time::us(3));
+  EXPECT_EQ(w.frames, 0u);
+  EXPECT_TRUE(in_mpi_mid_wait);
+  EXPECT_FALSE(mpi.proc(0).cpu().in_mpi());
+}
+
+TEST(LeafWait, CommWaitOnCompletedRequestResumesCallerWithoutAFrame) {
+  sim::Engine eng;
+  Mpi mpi(eng, Topology::block(1, 1));
+  Comm comm(mpi, 0);
+  RequestState st(eng);
+  Request r(&st);
+  st.complete(Status{4, 9, 128});
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, sim::Time::us(1), [&comm, r] { return comm.wait(r); });
+  EXPECT_EQ(w.resumed, sim::Time::us(1));
+  EXPECT_EQ(w.frames, 0u);
+  EXPECT_FALSE(mpi.proc(0).cpu().in_mpi());
+}
+
+TEST(LeafWait, CommComputeResumesCallerWithoutAFrame) {
+  sim::Engine eng;
+  Mpi mpi(eng, Topology::block(1, 1));
+  prof::Tracer tracer;
+  mpi.set_tracer(&tracer);
+  Comm comm(mpi, 0);
+  const auto w = mns::test_support::run_leaf_wait(
+      eng, sim::Time::us(1), [&comm] { return comm.compute(2e-6); });
+  EXPECT_EQ(w.resumed, sim::Time::us(3));
+  EXPECT_EQ(w.frames, 0u);
+  EXPECT_EQ(mpi.proc(0).cpu().compute_time(), sim::Time::us(2));
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(tracer.events()[0].kind, prof::EventKind::kCompute);
+  EXPECT_DOUBLE_EQ(tracer.events()[0].t_start, 1e-6);
+  EXPECT_DOUBLE_EQ(tracer.events()[0].t_end, 3e-6);
+}
+
 TEST(ReducePayload, AllTypesAndOps) {
   {
     double a[3] = {1, 5, 2}, b[3] = {4, 2, 2};

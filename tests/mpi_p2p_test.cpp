@@ -257,8 +257,9 @@ TEST_P(P2PAllNets, SyntheticViewsMoveNoData) {
 }
 
 // Coroutine frames allocated per message of an 8-byte ping-pong, pinned
-// at the count the leaf waits (Cpu, Pipe, Request) reach as plain
-// awaiters: a leaf that turns back into a Task raises it.
+// at the count reached with the leaf waits (Cpu, Pipe, Request), Comm's
+// wait and compute as plain awaiters and the device continuations as
+// plain events: any of them turning back into a Task raises it.
 TEST_P(P2PAllNets, PingPongFrameBudgetPerMessage) {
   ClusterConfig cfg{.nodes = 2, .net = GetParam()};
   Cluster c(cfg);
@@ -285,9 +286,9 @@ TEST_P(P2PAllNets, PingPongFrameBudgetPerMessage) {
   const std::uint64_t per_msg = frames / (2 * kPingPongRounds);
   std::uint64_t budget = 0;
   switch (GetParam()) {
-    case Net::kInfiniBand: budget = 10; break;
-    case Net::kMyrinet: budget = 12; break;
-    case Net::kQuadrics: budget = 11; break;
+    case Net::kInfiniBand: budget = 6; break;
+    case Net::kMyrinet: budget = 6; break;
+    case Net::kQuadrics: budget = 5; break;
   }
   EXPECT_LE(per_msg, budget) << frames << " frames in "
                              << 2 * kPingPongRounds << " messages";

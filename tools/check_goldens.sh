@@ -9,6 +9,8 @@
 # stdout must match the golden byte for byte: results do not depend on
 # --jobs, so any difference is a change to the artifact itself. A binary without a golden, or a golden without a
 # binary, fails too.
+# Each binary's wall time and the total regeneration time go to stderr;
+# stdout carries only the mismatch reports.
 # Exit status: 0 all match, 1 a mismatch or missing file, 2 usage.
 set -u
 
@@ -22,7 +24,15 @@ goldens=$(dirname "$0")/../artifacts
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+now() { date +%s.%N; }
+# Print "<name> <seconds since $2>" to stderr.
+report_time() {
+  awk -v name="$1" -v t0="$2" -v t1="$(now)" \
+    'BEGIN { printf "%-24s %8.2f s\n", name, t1 - t0 }' >&2
+}
+
 status=0
+start=$(now)
 for path in "$bench"/*; do
   b=$(basename "$path")
   [ "$b" = perf_engine ] && continue
@@ -32,13 +42,16 @@ for path in "$bench"/*; do
     status=1
     continue
   fi
+  t0=$(now)
   if [ "$b" = calibrate ]; then
     "$path" > "$out/$b.txt"
   else
     "$path" --jobs="$jobs" > "$out/$b.txt"
   fi || { echo "$b exited $?" >&2; status=1; continue; }
+  report_time "$b" "$t0"
   cmp "$goldens/$b.txt" "$out/$b.txt" || status=1
 done
+report_time "total (--jobs=$jobs)" "$start"
 for g in "$goldens"/*.txt; do
   b=$(basename "$g" .txt)
   if [ ! -x "$bench/$b" ]; then
