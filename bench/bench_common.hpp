@@ -6,8 +6,9 @@
 //
 // Every binary takes --csv and --jobs. The application harnesses run each
 // cell (a registry app on one cluster configuration) through run_cells
-// and also take the flags it applies: --seed, --faults, --partitions and
-// --max-sim-time. A binary exits 2 on any flag it does not honour.
+// and also take the flags it applies: --faults (reseeded by --seed, which
+// needs it), --partitions and --max-sim-time. A binary exits 2 on any
+// flag it does not honour.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +47,9 @@ struct Output {
   // sweep/sweep_runner.hpp.
   int jobs = 1;
   // The cell flags, read by parse_cell_output and applied by run_cells.
-  // --faults SPEC (reseeded by --seed N): deterministic chaos plan
-  // (src/fault); published artifacts run without one.
+  // --faults SPEC (reseeded by --seed N, which exits 2 without it):
+  // deterministic chaos plan (src/fault); published artifacts run
+  // without one.
   fault::FaultPlan faults;
   // --partitions N: PDES partitions per cell (ClusterConfig::partitions);
   // every N yields the bytes of the sequential default, 1.
@@ -101,7 +103,12 @@ inline Output parse_cell_output(int argc, char** argv) {
         static_cast<std::int64_t>(flags.get_uint("max-sim-time", 0)));
     const std::uint64_t seed = flags.get_uint("seed", 1);
     const std::string spec = flags.get("faults", "");
-    if (!spec.empty()) {
+    if (spec.empty()) {
+      // --seed only reseeds a fault plan: without one it would be dropped.
+      if (flags.has("seed")) {
+        throw std::invalid_argument("--seed needs --faults");
+      }
+    } else {
       out.faults = fault::FaultPlan::parse(spec);
       // An explicit --seed overrides a seed: clause inside the spec.
       if (flags.has("seed")) out.faults.set_seed(seed);

@@ -1,26 +1,35 @@
-// Calibration report: every headline micro-benchmark number next to the
-// paper's measured value. Run after any model change; the calibration
-// test suite asserts the same values within tolerance bands.
+// Calibration report: the paper ledger's printer. Each headline
+// micro-benchmark row of src/paper/ledger.cpp with what the paper states
+// (a value, or a bound), ours, the difference, the band
+// tests/calibration_test.cpp asserts ("(a, b)" excludes its ends, "[a, b]"
+// includes them) and whether ours lies inside it. Run after any model
+// change.
 #include <cstdio>
+#include <string>
 
-#include "microbench/microbench.hpp"
+#include "paper/ledger.hpp"
+#include "util/table.hpp"
 
 using namespace mns;
-using cluster::Net;
-using microbench::Options;
 
 namespace {
 
-double at(const std::vector<microbench::Point>& pts, std::uint64_t size) {
-  for (const auto& p : pts) {
-    if (p.size == size) return p.value;
-  }
-  return -1;
+std::string stated(const paper::MicroRow& row) {
+  const char* prefix = row.stated == paper::Stated::kBelow   ? "<"
+                       : row.stated == paper::Stated::kAbove ? ">"
+                                                             : "";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%s%g", prefix, row.paper);
+  return buf;
 }
 
-void row(const char* what, double paper, double ours) {
-  std::printf("  %-44s %9.1f %9.1f   %+6.1f%%\n", what, paper, ours,
-              paper > 0 ? (ours - paper) / paper * 100.0 : 0.0);
+std::string band(const paper::MicroRow& row) {
+  const bool closed = row.band.form == paper::Band::Form::kAbs;
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%c%.4g, %.4g%c", closed ? '[' : '(',
+                row.band.lo(row.paper), row.band.hi(row.paper),
+                closed ? ']' : ')');
+  return buf;
 }
 
 }  // namespace
@@ -31,54 +40,21 @@ int main(int argc, char** argv) {
                  argv[1]);
     return 2;
   }
-  std::printf("%-46s %9s %9s %9s\n", "metric", "paper", "ours", "delta");
-
-  const std::vector<std::uint64_t> small{4};
-  const std::vector<std::uint64_t> big{1 << 20};
-
-  row("IBA small latency (us)", 6.8, at(microbench::latency(Net::kInfiniBand, small), 4));
-  row("Myri small latency (us)", 6.7, at(microbench::latency(Net::kMyrinet, small), 4));
-  row("QSN small latency (us)", 4.6, at(microbench::latency(Net::kQuadrics, small), 4));
-
-  row("IBA peak bandwidth W=16 (MB/s)", 841, at(microbench::bandwidth(Net::kInfiniBand, big), 1 << 20));
-  row("Myri peak bandwidth (MB/s)", 235, at(microbench::bandwidth(Net::kMyrinet, big), 1 << 20));
-  row("QSN peak bandwidth (MB/s)", 308, at(microbench::bandwidth(Net::kQuadrics, big), 1 << 20));
-
-  row("IBA host overhead (us)", 1.7, at(microbench::host_overhead(Net::kInfiniBand, small), 4));
-  row("Myri host overhead (us)", 0.8, at(microbench::host_overhead(Net::kMyrinet, small), 4));
-  row("QSN host overhead (us)", 3.3, at(microbench::host_overhead(Net::kQuadrics, small), 4));
-
-  row("IBA bidir latency (us)", 7.0, at(microbench::bidir_latency(Net::kInfiniBand, small), 4));
-  row("Myri bidir latency (us)", 10.1, at(microbench::bidir_latency(Net::kMyrinet, small), 4));
-  row("QSN bidir latency (us)", 7.4, at(microbench::bidir_latency(Net::kQuadrics, small), 4));
-
-  row("IBA bidir bandwidth (MB/s)", 900, at(microbench::bidir_bandwidth(Net::kInfiniBand, big), 1 << 20));
-  row("Myri bidir peak ~64-256K (MB/s)", 473, at(microbench::bidir_bandwidth(Net::kMyrinet, {64 << 10}), 64 << 10));
-  row("Myri bidir 1M (MB/s, <340)", 335, at(microbench::bidir_bandwidth(Net::kMyrinet, big), 1 << 20));
-  row("QSN bidir bandwidth (MB/s)", 375, at(microbench::bidir_bandwidth(Net::kQuadrics, big), 1 << 20));
-
-  row("IBA intra latency (us)", 1.6, at(microbench::intranode_latency(Net::kInfiniBand, small), 4));
-  row("Myri intra latency (us)", 1.3, at(microbench::intranode_latency(Net::kMyrinet, small), 4));
-  row("QSN intra latency (us, > inter 4.6)", 6.0, at(microbench::intranode_latency(Net::kQuadrics, small), 4));
-  row("IBA intra bandwidth 1M (MB/s)", 450, at(microbench::intranode_bandwidth(Net::kInfiniBand, big), 1 << 20));
-
-  Options coll;
-  coll.nodes = 8;
-  row("IBA alltoall 4B (us)", 31, at(microbench::alltoall_latency(Net::kInfiniBand, small, coll), 4));
-  row("Myri alltoall 4B (us)", 36, at(microbench::alltoall_latency(Net::kMyrinet, small, coll), 4));
-  row("QSN alltoall 4B (us)", 67, at(microbench::alltoall_latency(Net::kQuadrics, small, coll), 4));
-  row("IBA allreduce 4B (us)", 46, at(microbench::allreduce_latency(Net::kInfiniBand, small, coll), 4));
-  row("Myri allreduce 4B (us)", 35, at(microbench::allreduce_latency(Net::kMyrinet, small, coll), 4));
-  row("QSN allreduce 4B (us)", 28, at(microbench::allreduce_latency(Net::kQuadrics, small, coll), 4));
-
-  Options pci;
-  pci.bus = cluster::Bus::kPci66;
-  row("IBA-PCI small latency (us)", 7.4, at(microbench::latency(Net::kInfiniBand, small, pci), 4));
-  row("IBA-PCI bandwidth (MB/s)", 378, at(microbench::bandwidth(Net::kInfiniBand, big, pci), 1 << 20));
-
-  const auto mem = microbench::memory_usage(Net::kInfiniBand, 8);
-  row("IBA memory 2 nodes (MB)", 25, mem.front().value);
-  row("IBA memory 8 nodes (MB)", 55, mem.back().value);
-
+  const char* format = "%-14s %-27s %-4s %3s %-4s %6s %8s %7s  %-15s %-6s %s\n";
+  std::printf(format, "row", "figure", "net", "x", "unit", "paper", "ours",
+              "delta", "band", "inside", "kind");
+  for (const paper::MicroRow& row : paper::micro()) {
+    const double ours = row.measure(row.net, row.x);
+    char ours_text[32];
+    char delta[32];
+    std::snprintf(ours_text, sizeof ours_text, "%.2f", ours);
+    std::snprintf(delta, sizeof delta, "%+.1f%%",
+                  (ours - row.paper) / row.paper * 100.0);
+    std::printf(format, row.id, row.figure, cluster::net_name(row.net),
+                util::size_label(row.x).c_str(), row.unit,
+                stated(row).c_str(), ours_text, delta, band(row).c_str(),
+                row.band.contains(ours, row.paper) ? "yes" : "NO",
+                row.kind == paper::Kind::kTarget ? "target" : "deviation");
+  }
   return 0;
 }

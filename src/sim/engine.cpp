@@ -111,7 +111,7 @@ bool Engine::step() {
  again:
   const bool have_now = nowq_head_ < nowq_.size();
   if (!have_now && queue_.empty()) return false;
-  if (events_processed_ >= event_limit_) throw EventLimitError(event_limit_);
+  if (events_processed_ >= event_limit_) throw_event_limit();
   std::int64_t at_ps;
   std::uint64_t seq;
   EventFn::Words fn;
@@ -152,19 +152,7 @@ bool Engine::step() {
       nowq_head_ = 0;
     }
   }
-  if (at_ps > time_limit_ps_) {
-    // Progress watchdog horizon crossed: the queue is still live (this
-    // event would have run), so this is a livelock, not a deadlock. The
-    // popped payload is dropped unrun (a boxed closure is reclaimed).
-    const EventFn unrun(fn.fn, fn.a, fn.b);
-    throw LivelockError(
-        "engine clock would cross the configured time limit (" +
-        Time::ps(time_limit_ps_).str() + ")\n  now           = " +
-        now_.str() + "\n  next event at = " + Time::ps(at_ps).str() +
-        "\n  events run    = " + std::to_string(events_processed_) +
-        "\n  pending       = " + std::to_string(pending_events()) +
-        "\n  live procs    = " + std::to_string(live_));
-  }
+  if (at_ps > time_limit_ps_) throw_time_limit(at_ps, fn.fn, fn.a, fn.b);
 #if defined(MNS_AUDIT_ENABLED)
   {
     // A failed audit drops the popped payload unrun, like the time limit.
@@ -187,6 +175,25 @@ bool Engine::step() {
   ++events_processed_;
   EventFn::invoke(fn);
   return true;
+}
+
+void Engine::throw_event_limit() const {
+  throw EventLimitError(event_limit_);
+}
+
+void Engine::throw_time_limit(std::int64_t at_ps, EventFn::Raw fn, void* a,
+                              void* b) const {
+  // Progress watchdog horizon crossed: the queue is still live (this
+  // event would have run), so this is a livelock, not a deadlock. The
+  // popped payload is dropped unrun (a boxed closure is reclaimed).
+  const EventFn unrun(fn, a, b);
+  throw LivelockError(
+      "engine clock would cross the configured time limit (" +
+      Time::ps(time_limit_ps_).str() + ")\n  now           = " +
+      now_.str() + "\n  next event at = " + Time::ps(at_ps).str() +
+      "\n  events run    = " + std::to_string(events_processed_) +
+      "\n  pending       = " + std::to_string(pending_events()) +
+      "\n  live procs    = " + std::to_string(live_));
 }
 
 void Engine::run() {

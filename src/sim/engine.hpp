@@ -448,6 +448,14 @@ class alignas(64) Engine {
   MNS_HOT void free_slot(std::uint32_t slot) { slab_free_.push_back(slot); }
 
   bool step();  // pop and run one event; false if queue empty
+  // step()'s throw paths, out of line and cold so that the per-event
+  // frame carries none of their message building. The time-limit
+  // thrower drops the popped payload (fn, a, b) unrun; its words come
+  // as scalars so that step() keeps them in registers.
+  [[gnu::cold, noreturn]] void throw_event_limit() const;
+  [[gnu::cold, noreturn]] void throw_time_limit(std::int64_t at_ps,
+                                                EventFn::Raw fn, void* a,
+                                                void* b) const;
   void retire(std::coroutine_handle<> h);  // process done: reclaim its frame
   void process_failed(std::exception_ptr e);
 

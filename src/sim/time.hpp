@@ -59,7 +59,8 @@ class Time {
   std::int64_t ps_ = 0;
 };
 
-/// Time to move `bytes` at `bytes_per_second` (rounded up to whole ps).
+/// Time to move `bytes` at `bytes_per_second`, rounded to the nearest
+/// whole ps like Time::seconds (37 B at 3e8 B/s is 123,333 ps).
 constexpr Time transfer_time(std::uint64_t bytes, double bytes_per_second) {
   const double sec = static_cast<double>(bytes) / bytes_per_second;
   return Time::seconds(sec);

@@ -3,8 +3,9 @@
 
 Every binary takes --csv and --jobs. The application harnesses (the
 binaries that run cells through bench_common.hpp's run_cells) also apply
---faults, --seed, --partitions and --max-sim-time; every other binary
-exits 2 on them, so a flag is either honoured or refused, never silently
+--faults, --seed (which reseeds the fault plan, so it exits 2 without
+--faults), --partitions and --max-sim-time; every other binary exits 2
+on them, so a flag is either honoured or refused, never silently
 dropped. A livelocked cell exits 3 with one diagnostic that does not
 depend on --jobs.
 
@@ -86,6 +87,15 @@ def test_calibrate_rejects_any_argument():
     for arg in ("--csv", "--jobs=2", "extra"):
         proc = run("calibrate", arg)
         assert proc.returncode == 2, (arg, proc)
+        assert proc.stdout == "", proc.stdout
+
+
+def test_seed_without_faults_exits_2():
+    # --seed only reseeds a fault plan; alone it would be dropped.
+    for args in (["--seed=7", "--max-sim-time=1"], ["--seed=7", "--faults="]):
+        proc = run("tab03_nonblocking", *args)
+        assert proc.returncode == 2, (args, proc)
+        assert proc.stderr == "error: --seed needs --faults\n", proc.stderr
         assert proc.stdout == "", proc.stdout
 
 

@@ -1,21 +1,27 @@
-// Calibration regression suite: asserts the simulated micro-benchmarks
-// stay within tolerance of the paper's measured values (Section 3), and
-// that the qualitative *shapes* — who wins, where the crossovers and
-// cliffs fall — match. Any model change that breaks a published behaviour
-// fails here.
-//
-// Known, documented deviations (see EXPERIMENTS.md): Myrinet and Quadrics
-// bi-directional small-message latency come out 20-30% lower than
-// measured; Quadrics/Myrinet allreduce land 15-30% low. Orders and shapes
-// are preserved; those rows use wider bands.
+// Calibration regression suite. Each headline micro-benchmark row of the
+// paper ledger (src/paper/ledger.cpp) is one CalibrationRow case that
+// asserts ours lies inside the row's band: a percentage or open band
+// strictly, an absolute band inclusively (EXPECT_NEAR). The rows of kind
+// deviation are the documented misses of EXPERIMENTS.md's "Known
+// deviations", held by their bands. The TEST cases below assert the
+// qualitative *shapes* — who wins, where the crossovers and cliffs fall.
+// Any model change that breaks a published behaviour fails here.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "microbench/microbench.hpp"
+#include "paper/ledger.hpp"
+
+namespace mns::paper {
+// gtest prints a row by its id.
+void PrintTo(const MicroRow& row, std::ostream* os) { *os << row.id; }
+}  // namespace mns::paper
 
 namespace {
 
 using namespace mns;
-using cluster::Bus;
 using cluster::Net;
 using microbench::Options;
 using microbench::Point;
@@ -28,18 +34,28 @@ double at(const std::vector<Point>& pts, std::uint64_t size) {
   return -1;
 }
 
-void expect_near_pct(double ours, double paper, double pct) {
-  EXPECT_GT(ours, paper * (1.0 - pct / 100.0)) << "paper=" << paper;
-  EXPECT_LT(ours, paper * (1.0 + pct / 100.0)) << "paper=" << paper;
+// --- The ledger's rows ------------------------------------------------------
+
+class CalibrationRow : public testing::TestWithParam<paper::MicroRow> {};
+
+TEST_P(CalibrationRow, OursInsideBand) {
+  const paper::MicroRow& row = GetParam();
+  const double ours = row.measure(row.net, row.x);
+  if (row.band.form == paper::Band::Form::kAbs) {
+    EXPECT_NEAR(ours, row.paper, row.band.a);
+  } else {
+    EXPECT_GT(ours, row.band.lo(row.paper)) << "paper=" << row.paper;
+    EXPECT_LT(ours, row.band.hi(row.paper)) << "paper=" << row.paper;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ledger, CalibrationRow, testing::ValuesIn(paper::micro()),
+    [](const testing::TestParamInfo<paper::MicroRow>& info) {
+      return std::string(info.param.id);
+    });
 
 // --- Fig. 1: latency -------------------------------------------------------
-
-TEST(Calibration, SmallMessageLatency) {
-  expect_near_pct(at(microbench::latency(Net::kInfiniBand, {4}), 4), 6.8, 8);
-  expect_near_pct(at(microbench::latency(Net::kMyrinet, {4}), 4), 6.7, 8);
-  expect_near_pct(at(microbench::latency(Net::kQuadrics, {4}), 4), 4.6, 8);
-}
 
 TEST(Calibration, LargeMessageLatencyIBWins) {
   // "For large messages, InfiniBand has a clear advantage because of its
@@ -53,16 +69,6 @@ TEST(Calibration, LargeMessageLatencyIBWins) {
 }
 
 // --- Fig. 2: bandwidth -----------------------------------------------------
-
-TEST(Calibration, PeakBandwidth) {
-  const std::vector<std::uint64_t> sz{1 << 20};
-  expect_near_pct(at(microbench::bandwidth(Net::kInfiniBand, sz), 1 << 20),
-                  841, 5);
-  expect_near_pct(at(microbench::bandwidth(Net::kMyrinet, sz), 1 << 20),
-                  235, 5);
-  expect_near_pct(at(microbench::bandwidth(Net::kQuadrics, sz), 1 << 20),
-                  308, 5);
-}
 
 TEST(Calibration, IbBandwidthDipsAtRendezvousSwitch) {
   // "The bandwidth drop for 2KB messages is because the protocol switches
@@ -99,15 +105,6 @@ TEST(Calibration, QuadricsLargeWindowDroops) {
 
 // --- Fig. 3: host overhead ---------------------------------------------------
 
-TEST(Calibration, HostOverhead) {
-  expect_near_pct(at(microbench::host_overhead(Net::kInfiniBand, {4}), 4),
-                  1.7, 12);
-  expect_near_pct(at(microbench::host_overhead(Net::kMyrinet, {4}), 4), 0.8,
-                  12);
-  expect_near_pct(at(microbench::host_overhead(Net::kQuadrics, {4}), 4), 3.3,
-                  12);
-}
-
 TEST(Calibration, OverheadOrderIndependentOfLatencyOrder) {
   // Quadrics has the best latency but the WORST host overhead.
   const double ib = at(microbench::host_overhead(Net::kInfiniBand, {4}), 4);
@@ -118,16 +115,6 @@ TEST(Calibration, OverheadOrderIndependentOfLatencyOrder) {
 }
 
 // --- Figs. 4/5: bi-directional ----------------------------------------------
-
-TEST(Calibration, BidirLatency) {
-  expect_near_pct(at(microbench::bidir_latency(Net::kInfiniBand, {4}), 4),
-                  7.0, 10);
-  // Documented deviations: mechanisms give 8.1 (paper 10.1) and 5.4 (7.4).
-  expect_near_pct(at(microbench::bidir_latency(Net::kMyrinet, {4}), 4), 10.1,
-                  30);
-  expect_near_pct(at(microbench::bidir_latency(Net::kQuadrics, {4}), 4), 7.4,
-                  35);
-}
 
 TEST(Calibration, BidirPenaltyShape) {
   // InfiniBand barely degrades bi-directionally; Myrinet degrades most.
@@ -141,21 +128,6 @@ TEST(Calibration, BidirPenaltyShape) {
   EXPECT_LT(ib, 0.7);
   EXPECT_GT(my, 1.0);
   EXPECT_GT(my, qs);
-}
-
-TEST(Calibration, BidirBandwidth) {
-  expect_near_pct(
-      at(microbench::bidir_bandwidth(Net::kInfiniBand, {1 << 20}), 1 << 20),
-      900, 5);
-  expect_near_pct(
-      at(microbench::bidir_bandwidth(Net::kQuadrics, {1 << 20}), 1 << 20),
-      375, 8);
-  // Myrinet: fine at 64 KB, SRAM-bound past 256 KB.
-  const auto my = microbench::bidir_bandwidth(
-      Net::kMyrinet, {64 << 10, 1 << 20});
-  expect_near_pct(at(my, 64 << 10), 473, 10);
-  EXPECT_LT(at(my, 1 << 20), 345);
-  EXPECT_GT(at(my, 1 << 20), 290);
 }
 
 // --- Fig. 6: overlap ---------------------------------------------------------
@@ -238,17 +210,6 @@ TEST(Calibration, ReuseBandwidthMonotone) {
 
 // --- Figs. 9/10: intra-node --------------------------------------------------
 
-TEST(Calibration, IntranodeLatency) {
-  expect_near_pct(at(microbench::intranode_latency(Net::kInfiniBand, {4}), 4),
-                  1.6, 10);
-  expect_near_pct(at(microbench::intranode_latency(Net::kMyrinet, {4}), 4),
-                  1.3, 10);
-  // Quadrics intra-node is WORSE than its inter-node latency.
-  const double qs_intra =
-      at(microbench::intranode_latency(Net::kQuadrics, {4}), 4);
-  EXPECT_GT(qs_intra, 4.6);
-}
-
 TEST(Calibration, IntranodeBandwidthShapes) {
   // IB switches to NIC loopback >= 16 KB: >450 MB/s at 1 MB; Myrinet's
   // all-shm path thrashes the cache and drops below it.
@@ -256,29 +217,10 @@ TEST(Calibration, IntranodeBandwidthShapes) {
       microbench::intranode_bandwidth(Net::kInfiniBand, {1 << 20}), 1 << 20);
   const double my = at(
       microbench::intranode_bandwidth(Net::kMyrinet, {1 << 20}), 1 << 20);
-  expect_near_pct(ib, 450, 8);
   EXPECT_LT(my, ib);
 }
 
 // --- Figs. 11/12: collectives ------------------------------------------------
-
-TEST(Calibration, Alltoall8Nodes) {
-  expect_near_pct(at(microbench::alltoall_latency(Net::kInfiniBand, {4}), 4),
-                  31, 10);
-  expect_near_pct(at(microbench::alltoall_latency(Net::kMyrinet, {4}), 4),
-                  36, 20);
-  expect_near_pct(at(microbench::alltoall_latency(Net::kQuadrics, {4}), 4),
-                  67, 10);
-}
-
-TEST(Calibration, Allreduce8Nodes) {
-  expect_near_pct(at(microbench::allreduce_latency(Net::kInfiniBand, {4}), 4),
-                  46, 15);
-  expect_near_pct(at(microbench::allreduce_latency(Net::kMyrinet, {4}), 4),
-                  35, 32);
-  expect_near_pct(at(microbench::allreduce_latency(Net::kQuadrics, {4}), 4),
-                  28, 20);
-}
 
 TEST(Calibration, CollectiveOrderings) {
   // Fig. 11: IB < Myri < QSN for alltoall; Fig. 12: QSN < Myri < IB for
@@ -299,8 +241,6 @@ TEST(Calibration, CollectiveOrderings) {
 
 TEST(Calibration, MemoryUsage) {
   const auto ib = microbench::memory_usage(Net::kInfiniBand, 8);
-  EXPECT_NEAR(ib.front().value, 25.0, 3.0);  // 2 nodes
-  EXPECT_NEAR(ib.back().value, 55.0, 5.0);   // 8 nodes
   // Linear growth with connections.
   for (std::size_t i = 1; i < ib.size(); ++i) {
     EXPECT_GT(ib[i].value, ib[i - 1].value);
@@ -311,21 +251,6 @@ TEST(Calibration, MemoryUsage) {
     EXPECT_DOUBLE_EQ(mem.front().value, mem.back().value) << net_name(net);
     EXPECT_LT(mem.back().value, 15.0) << net_name(net);
   }
-}
-
-// --- Figs. 26/27: PCI vs PCI-X -----------------------------------------------
-
-TEST(Calibration, InfiniBandOnPci) {
-  Options pci;
-  pci.bus = Bus::kPci66;
-  // "latency ... only increases by about 0.6 us"
-  const double lat_x = at(microbench::latency(Net::kInfiniBand, {4}), 4);
-  const double lat_p = at(microbench::latency(Net::kInfiniBand, {4}, pci), 4);
-  EXPECT_NEAR(lat_p - lat_x, 0.6, 0.45);
-  // "the bandwidth decreases and only reaches 378MB/s"
-  expect_near_pct(
-      at(microbench::bandwidth(Net::kInfiniBand, {1 << 20}, pci), 1 << 20),
-      378, 6);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 # --jobs, so any difference is a change to the artifact itself. A binary without a golden, or a golden without a
 # binary, fails too.
 # Each binary's wall time and the total regeneration time go to stderr;
-# stdout carries only the mismatch reports.
+# stdout carries only the mismatch reports: a `diff -u` of each golden
+# against the new output, so a log shows the lines that moved.
 # Exit status: 0 all match, 1 a mismatch or missing file, 2 usage.
 set -u
 
@@ -49,7 +50,8 @@ for path in "$bench"/*; do
     "$path" --jobs="$jobs" > "$out/$b.txt"
   fi || { echo "$b exited $?" >&2; status=1; continue; }
   report_time "$b" "$t0"
-  cmp "$goldens/$b.txt" "$out/$b.txt" || status=1
+  diff -u --label "artifacts/$b.txt" --label "$b (this build)" \
+    "$goldens/$b.txt" "$out/$b.txt" || status=1
 done
 report_time "total (--jobs=$jobs)" "$start"
 for g in "$goldens"/*.txt; do
