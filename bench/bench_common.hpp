@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -68,10 +69,22 @@ struct Output {
   }
 };
 
+/// `value` of --`key`, refused (std::invalid_argument: exit 2) above
+/// `max`, the largest the flag's type can hold, instead of wrapping.
+inline std::uint64_t in_range(const std::string& key, std::uint64_t value,
+                              std::uint64_t max) {
+  if (value > max) {
+    throw std::invalid_argument("--" + key + "=" + std::to_string(value) +
+                                " is out of range (at most " +
+                                std::to_string(max) + ")");
+  }
+  return value;
+}
+
 /// Parse --csv and --jobs, plus whatever `own` reads. CLI boundary: a
-/// malformed value, an unknown or unhonoured flag, or a positional
-/// argument prints one clear line and exits 2 — never an unhandled
-/// std::invalid_argument out of main.
+/// malformed or out-of-range value, an unknown or unhonoured flag, or a
+/// positional argument prints one clear line and exits 2 — never an
+/// unhandled std::invalid_argument out of main.
 inline Output parse_output(
     int argc, char** argv,
     const std::function<void(const util::Flags&, Output&)>& own = {}) {
@@ -83,7 +96,8 @@ inline Output parse_output(
                                   flags.positional().front() + "'");
     }
     out.csv = flags.get_bool("csv", false);
-    out.jobs = static_cast<int>(flags.get_uint("jobs", 1));
+    out.jobs = static_cast<int>(
+        in_range("jobs", flags.get_uint("jobs", 1), INT_MAX));
     if (own) own(flags, out);
     flags.reject_unknown();
     return 0;
@@ -95,12 +109,16 @@ inline Output parse_output(
 /// parse_output plus the cell flags run_cells applies.
 inline Output parse_cell_output(int argc, char** argv) {
   return parse_output(argc, argv, [](const util::Flags& flags, Output& out) {
-    out.partitions = static_cast<int>(flags.get_int("partitions", 1));
-    if (out.partitions < 1) {
+    const std::int64_t partitions = flags.get_int("partitions", 1);
+    if (partitions < 1) {
       throw std::invalid_argument("--partitions must be >= 1");
     }
-    out.max_sim_time = sim::Time::us(
-        static_cast<std::int64_t>(flags.get_uint("max-sim-time", 0)));
+    out.partitions = static_cast<int>(in_range(
+        "partitions", static_cast<std::uint64_t>(partitions), INT_MAX));
+    // Microseconds, held as int64 picoseconds.
+    out.max_sim_time = sim::Time::us(static_cast<std::int64_t>(
+        in_range("max-sim-time", flags.get_uint("max-sim-time", 0),
+                 INT64_MAX / sim::Time::us(1).count_ps())));
     const std::uint64_t seed = flags.get_uint("seed", 1);
     const std::string spec = flags.get("faults", "");
     if (spec.empty()) {

@@ -158,7 +158,7 @@ struct NetFabric::MsgFlow {
   // caps messages at 64 packets, so one word of bits identifies the lost /
   // corrupt-marked packets of the current attempt exactly.
   bool faulted = false;       // fault plan arms this flow's link
-  bool fetching = false;      // sender_loop's closed fetch loop still running
+  bool fetching = false;      // the sender's closed fetch loop still running
   bool rto_armed = false;     // retransmit timer pending
   std::uint64_t lost = 0;     // packets lost this attempt (bit per packet)
   std::uint64_t corrupt_mask = 0;  // marked at tx, detected+lost at rx
@@ -198,7 +198,12 @@ struct NetFabric::MsgFlow {
     // now-queue slots with nothing interleaved, so collapsing it into a
     // single event that launches in the same ascending-packet order
     // preserves the relative order of every event in the run.
-    kResendBatch
+    kResendBatch,
+    // The source host-bus DMA of one packet ended (the sender's closed
+    // fetch loop): schedule its kLaunch, then fetch the next packet or
+    // hand the NIC to the sender's next message. Not a packet-machine
+    // event: `fetching`, not `pending`, covers the fetch.
+    kFetch
   };
 
   static void* word(std::uint8_t kind, std::uint64_t p) {
@@ -263,7 +268,7 @@ NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
   }
   tx_.reserve(n);
   rx_.reserve(n);
-  sendq_.reserve(n);
+  senders_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     sim::Engine& ne = *node_eng_[i];
     tx_.push_back(
@@ -272,10 +277,16 @@ NetFabric::NetFabric(sim::Engine& eng, std::vector<NodeHw*> nodes,
     // Rate is irrelevant for the protocol processor: it only serializes
     // per-message occupancies.
     nic_proc_.push_back(std::make_unique<Pipe>(ne, 1e12));
-    sendq_.push_back(std::make_unique<sim::Mailbox<NetMsg>>(ne));
+    senders_[i].node = static_cast<int>(i);
   }
+  // Each sender starts with an event of its own at construction, where
+  // the coroutine loop it replaces was spawned; until then a post only
+  // queues.
   for (std::size_t i = 0; i < n; ++i) {
-    node_eng_[i]->spawn(sender_loop(static_cast<int>(i)), /*daemon=*/true);
+    node_eng_[i]->at(node_eng_[i]->now(),
+                     sim::Cont::member<&NetFabric::sender_next>(
+                         this, &senders_[i])
+                         .event());
   }
 }
 
@@ -336,10 +347,19 @@ void NetFabric::run_on_node(int src_node, int dst_node,
               wire_word(kWireCall, 0, 0), 0, 0, box.release());
 }
 
-void NetFabric::post(NetMsg msg) {
+// MNS_HOT: the send queue is a Fifo, whose capacity survives draining.
+MNS_HOT void NetFabric::post(NetMsg msg) {
   ++shard_of_node(msg.src).posted;
   on_posted(msg);
-  sendq_[static_cast<std::size_t>(msg.src)]->send(std::move(msg));
+  Sender& s = senders_[static_cast<std::size_t>(msg.src)];
+  s.queue.push_back(std::move(msg));
+  if (s.idle) {
+    // Wake the idle sender where its coroutine used to be resumed.
+    s.idle = false;
+    sim::Engine& eng = *node_eng_[static_cast<std::size_t>(s.node)];
+    eng.at(eng.now(),
+           sim::Cont::member<&NetFabric::sender_next>(this, &s).event());
+  }
 }
 
 sim::Time NetFabric::tx_setup(const NetMsg&) { return nic_.per_msg_setup; }
@@ -503,6 +523,7 @@ void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
     // Key = src << 48 | per-source sequence (pre-incremented: never 0).
     f.flow_key = (static_cast<std::uint64_t>(src) << 48) |
                  ++flow_seq_[static_cast<std::size_t>(src)];
+    // simcheck-allow: hot-alloc (partitioned runs only: one map node per boundary flow)
     f.shard->wire_flows.emplace(f.flow_key, &f);
   } else {
     f.flow_key = 0;
@@ -519,12 +540,15 @@ void NetFabric::init_flow(MsgFlow& f, NetMsg msg) {
   f.dst_bus = &nodes_[static_cast<std::size_t>(dst)]->bus().pipe();
 }
 
-sim::Task<void> NetFabric::sender_loop(int node_id) {
-  auto& queue = *sendq_[static_cast<std::size_t>(node_id)];
-  auto& bus = nodes_[static_cast<std::size_t>(node_id)]->bus();
-  sim::Engine& eng = *node_eng_[static_cast<std::size_t>(node_id)];
+void NetFabric::sender_next(Sender& s) {
+  sim::Engine& eng = *node_eng_[static_cast<std::size_t>(s.node)];
   for (;;) {
-    NetMsg msg = co_await queue.receive();
+    if (s.queue.empty()) {
+      s.idle = true;
+      return;
+    }
+    s.msg = s.queue.pop_front();
+    NetMsg& msg = s.msg;
     if (fail_stop_armed_) {
       // Degradation fast path: once a retry exhaustion has been
       // attributed to a permanent failure (learn_link_dead), subsequent
@@ -534,46 +558,62 @@ sim::Task<void> NetFabric::sender_loop(int node_id) {
       // `aborted` — delivered-or-errored holds for every flow, and the
       // sender NIC is freed for healthy traffic instead of burning its
       // protocol processor on a dead peer.
-      Shard& sh = shard_of_node(node_id);
+      Shard& sh = shard_of_node(s.node);
       const std::size_t li = link_index(msg.src, msg.dst);
       if (!sh.dead.empty() && sh.dead[li] != 0) {
         const std::uint32_t round = ++sh.degrade_round[li];
         const sim::Time d = degrade_delay(msg, static_cast<int>(round));
-        if (d > sim::Time::zero()) co_await eng.delay(d);
+        if (d > sim::Time::zero()) {
+          eng.after(d, [this, sp = &s] {
+            abort_degraded(std::move(sp->msg));
+            sender_next(*sp);
+          });
+          return;
+        }
         abort_degraded(std::move(msg));
         continue;
       }
     }
+    sim::EventFn done =
+        sim::Cont::member<&NetFabric::sender_setup_done>(this, &s).event();
     if (nic_.shared_processor) {
       // One protocol processor handles send and receive events: the
       // per-message send work competes with incoming-message work.
-      co_await nic_proc_[static_cast<std::size_t>(node_id)]->occupy(
-          tx_setup(msg));
+      eng.at(nic_proc(s.node).reserve_after(tx_setup(msg), 0),
+             std::move(done));
     } else {
-      co_await eng.delay(tx_setup(msg));
+      eng.after(tx_setup(msg), std::move(done));
     }
-    const sim::Time stall = tx_stall(msg);
-    if (stall > sim::Time::zero()) {
-      co_await tx_pipe(node_id).occupy(stall);
-    }
-
-    MsgFlow& f = *acquire_flow(shard_of_node(node_id));
-    init_flow(f, std::move(msg));
-    // Closed-loop injection: each packet is fetched across the host bus
-    // before the next, so concurrent senders on this node interleave at
-    // packet granularity and per-pair ordering is preserved.
-    f.fetching = true;  // retransmit timers wait for the fetch chain
-    for (std::uint64_t p = 0; p < f.packets; ++p) {
-      co_await bus.dma(f.pkt_bytes(p));
-      // Launch through the event queue at now, exactly where the old
-      // per-packet coroutine spawn started.
-      ++f.pending;
-      eng.at(eng.now(), sim::EventFn(&MsgFlow::thunk, &f,
-                                     MsgFlow::word(MsgFlow::kLaunch, p)));
-    }
-    f.fetching = false;
-    // `f` may already be recycled past this point; never touch it here.
+    return;
   }
+}
+
+void NetFabric::sender_setup_done(Sender& s) {
+  const sim::Time stall = tx_stall(s.msg);
+  if (stall > sim::Time::zero()) {
+    node_eng_[static_cast<std::size_t>(s.node)]->at(
+        tx_pipe(s.node).reserve_after(stall, 0),
+        sim::Cont::member<&NetFabric::sender_launch>(this, &s).event());
+    return;
+  }
+  sender_launch(s);
+}
+
+void NetFabric::sender_launch(Sender& s) {
+  MsgFlow& f = *acquire_flow(shard_of_node(s.node));
+  init_flow(f, std::move(s.msg));
+  // Closed-loop injection: each packet is fetched across the host bus
+  // before the next (kFetch), so concurrent senders on this node
+  // interleave at packet granularity and per-pair ordering is preserved.
+  f.fetching = true;  // retransmit timers wait for the fetch chain
+  fetch_packet(f, 0);
+}
+
+void NetFabric::fetch_packet(MsgFlow& f, std::uint64_t p) {
+  Pipe& bus = nodes_[static_cast<std::size_t>(f.msg.src)]->bus().pipe();
+  f.eng->at(bus.reserve(f.pkt_bytes(p)),
+            sim::EventFn(&MsgFlow::thunk, &f,
+                         MsgFlow::word(MsgFlow::kFetch, p)));
 }
 
 void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
@@ -809,6 +849,21 @@ void NetFabric::flow_step(MsgFlow& f, std::uintptr_t w) {
       }
       resend_lost(f);
       arm_rto(f);
+      break;
+
+    case MsgFlow::kFetch:
+      // Launch through the event queue at now, exactly where the old
+      // per-packet coroutine spawn started.
+      ++f.pending;
+      f.eng->at(f.eng->now(), sim::EventFn(&MsgFlow::thunk, &f,
+                                           MsgFlow::word(MsgFlow::kLaunch, p)));
+      if (p + 1 < f.packets) {
+        fetch_packet(f, p + 1);
+      } else {
+        f.fetching = false;
+        // `f` may be recycled from here on; the sender goes on without it.
+        sender_next(senders_[static_cast<std::size_t>(f.msg.src)]);
+      }
       break;
 
     case MsgFlow::kResendBatch: {
@@ -1223,7 +1278,7 @@ void NetFabric::set_fault_plan(const fault::FaultPlan& plan) {
   if (plan.empty()) return;  // keeps the data path bit-identical
   injector_ = std::make_unique<fault::Injector>(plan, nodes_.size());
   // Fail-stop clauses arm the degradation machinery. Transient-only
-  // plans leave fail_stop_armed_ false, so the sender_loop fast path
+  // plans leave fail_stop_armed_ false, so the sender's fast path
   // and the collectives' agreement epilogue stay compiled-out at run
   // time and the existing chaos matrices remain bit-identical.
   fail_stop_armed_ = plan.has_fail_stop();
@@ -1382,7 +1437,7 @@ void NetFabric::register_audits(audit::AuditReport& report) {
       s.require(rx_[i]->idle(), node + ": rx pipe busy at finalize");
       s.require(nic_proc_[i]->idle(),
                 node + ": NIC protocol processor busy at finalize");
-      s.require(sendq_[i]->empty(),
+      s.require(senders_[i].queue.empty(),
                 node + ": send queue not drained at finalize");
     }
   });

@@ -386,7 +386,28 @@ class NetFabric {
            part_of_[static_cast<std::size_t>(dst)];
   }
 
-  sim::Task<void> sender_loop(int node_id);
+  /// One node's NIC injection engine: a state machine over its send
+  /// queue, one message at a time — per-message setup on the NIC (or its
+  /// shared protocol processor), the tx stall, then the flow's closed-loop
+  /// packet fetch (MsgFlow's kFetch steps) — so no coroutine frame is
+  /// involved. Each node's first event, scheduled at construction, starts
+  /// it; from then on a post to an idle sender wakes it with a zero-delay
+  /// event.
+  struct Sender {
+    sim::Fifo<NetMsg> queue;
+    NetMsg msg;  // the message in setup, until its flow takes it
+    int node = 0;
+    bool idle = false;  // waiting for a post (not before the start event)
+  };
+  /// Take the next message off `s`'s queue, or go idle.
+  void sender_next(Sender& s);
+  /// The per-message setup ended: the tx stall, then the flow.
+  void sender_setup_done(Sender& s);
+  /// Start the message's flow and its first packet's fetch.
+  void sender_launch(Sender& s);
+  /// Fetch packet `p` of `f` across its source host bus; the flow's
+  /// kFetch step runs when the DMA ends.
+  void fetch_packet(MsgFlow& f, std::uint64_t p);
 
   MsgFlow* acquire_flow(Shard& sh);
   void release_flow(MsgFlow& f);
@@ -452,7 +473,7 @@ class NetFabric {
   std::vector<std::unique_ptr<Pipe>> tx_;
   std::vector<std::unique_ptr<Pipe>> rx_;
   std::vector<std::unique_ptr<Pipe>> nic_proc_;  // shared protocol processor
-  std::vector<std::unique_ptr<sim::Mailbox<NetMsg>>> sendq_;
+  std::vector<Sender> senders_;  // per node; never resized after build
   // One Shard per partition (heap-allocated so MsgFlow needs only the
   // forward declaration here). Sequentially there is exactly one.
   std::vector<std::unique_ptr<Shard>> shards_;

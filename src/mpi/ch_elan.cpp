@@ -40,10 +40,12 @@ std::uint64_t ElanChannel::memory_bytes(int node) const {
   return fabric_->memory_bytes(node);
 }
 
-sim::Task<void> ElanChannel::start_send(SendOp op) {
-  auto& sp = mpi_->proc(op.env.src);
-  co_await sp.cpu().busy(cfg_.o_send);
+void ElanChannel::start_send(SendOp& op) {
+  mpi_->proc(op.env.src).cpu().busy_then(
+      cfg_.o_send, [this, o = &op] { post_send(*o); });
+}
 
+void ElanChannel::post_send(SendOp& op) {
   const Envelope env = op.env;
   const bool buffered = env.bytes <= cfg_.buffered_max;
   const int snode = mpi_->node_of(env.src);
@@ -74,6 +76,7 @@ sim::Task<void> ElanChannel::start_send(SendOp op) {
   nm.remote_arrival = [this, m] { on_arrival(m); };
   nm.on_failed = [this, m] { fail_send(m); };
   fabric_->post(std::move(nm));
+  op.started();
 }
 
 void ElanChannel::complete_send(Msg* m) {
@@ -156,7 +159,7 @@ void ElanChannel::on_arrival(Msg* m) {
     m->payload.assign(m->src_view.data(), m->src_view.data() + env.bytes);
   }
   rp.matcher().add_unexpected(
-      {env, [this, m](PostedRecv pr) { return claim(m, pr); }});
+      {env, [this, m](PostedRecv pr, sim::Cont done) { claim(m, pr, done); }});
 }
 
 void ElanChannel::deliver(Delivery* d) {
@@ -170,20 +173,26 @@ void ElanChannel::deliver(Delivery* d) {
   });
 }
 
-sim::Task<void> ElanChannel::claim(Msg* m, PostedRecv pr) {
+void ElanChannel::claim(Msg* m, PostedRecv pr, sim::Cont done) {
   // Receiver claims from the system buffer: copy-out on the host.
   auto& rp = mpi_->proc(m->env.dst);
   const int dn = mpi_->node_of(m->env.dst);
   const sim::Time cost =
       cfg_.o_unexpected + fabric_->node(dn).mem().copy_time(m->env.bytes);
-  co_await rp.cpu().busy(cost);
-  if (!pr.buf.synthetic() && !m->payload.empty()) {
-    std::memcpy(pr.buf.data(), m->payload.data(),
-                static_cast<std::size_t>(
-                    std::min<std::uint64_t>(m->env.bytes, pr.buf.bytes())));
-  }
-  pr.req->complete(status_of(m->env));
-  release(m);
+  m->recv = pr;
+  m->claimed = done;
+  rp.cpu().busy_then(cost, [m] {
+    const PostedRecv& r = m->recv;
+    if (!r.buf.synthetic() && !m->payload.empty()) {
+      std::memcpy(r.buf.data(), m->payload.data(),
+                  static_cast<std::size_t>(
+                      std::min<std::uint64_t>(m->env.bytes, r.buf.bytes())));
+    }
+    r.req->complete(status_of(m->env));
+    const sim::Cont claimed = m->claimed;
+    release(m);
+    claimed();
+  });
 }
 
 void ElanChannel::on_failed_arrival(const Envelope& env) {
@@ -202,13 +211,15 @@ void ElanChannel::on_failed_arrival(const Envelope& env) {
   m->req = nullptr;
   m->payload.clear();
   rp.matcher().add_unexpected(
-      {env, [this, m](PostedRecv pr) { return claim_error(m, pr); }});
+      {env, [this, m](PostedRecv pr, sim::Cont done) {
+         claim_error(m, pr, done);
+       }});
 }
 
-sim::Task<void> ElanChannel::claim_error(Msg* m, PostedRecv pr) {
+void ElanChannel::claim_error(Msg* m, PostedRecv pr, sim::Cont done) {
   pr.req->complete(error_status(m->env));
   release(m);
-  co_return;
+  done();
 }
 
 void ElanChannel::hw_broadcast(Rank root, std::uint64_t bytes,

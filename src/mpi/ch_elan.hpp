@@ -42,7 +42,7 @@ class ElanChannel final : public Device {
  public:
   ElanChannel(Mpi& mpi, elan::ElanFabric& fabric, ElanChannelConfig cfg);
 
-  sim::Task<void> start_send(SendOp op) override;
+  void start_send(SendOp& op) override;
   sim::Time recv_post_cost() const override { return cfg_.o_recv; }
   bool has_hw_broadcast() const override { return cfg_.use_hw_bcast; }
   void hw_broadcast(Rank root, std::uint64_t bytes, std::uint64_t addr,
@@ -60,6 +60,8 @@ class ElanChannel final : public Device {
     View src_view;
     bool send_done = false;
     std::vector<std::byte> payload;  // buffered or unexpected real data
+    PostedRecv recv;    // the claiming receive (unexpected messages)
+    sim::Cont claimed;  // and its continuation
   };
 
   /// A NIC delivery into a posted receive, after the payload has landed:
@@ -72,6 +74,8 @@ class ElanChannel final : public Device {
     sim::Time stall;  // NIC scan + MMU work for the match
   };
 
+  /// The rest of start_send, from the event that ends the o_send pause.
+  void post_send(SendOp& op);
   void complete_send(Msg* m);
   void fail_send(Msg* m);
   void on_arrival(Msg* m);
@@ -79,8 +83,10 @@ class ElanChannel final : public Device {
   /// stall, then complete the receive o_complete after that slot ends.
   /// Each step is an EventFn over the record, without a coroutine frame.
   void deliver(Delivery* d);
-  sim::Task<void> claim(Msg* m, PostedRecv pr);
-  sim::Task<void> claim_error(Msg* m, PostedRecv pr);
+  /// Unexpected claims, like RdvChannel's: the receive and its
+  /// continuation wait in the Msg while the copy-out occupies the host.
+  void claim(Msg* m, PostedRecv pr, sim::Cont done);
+  void claim_error(Msg* m, PostedRecv pr, sim::Cont done);
   /// Fabric retry exhaustion: surface the error envelope through NIC
   /// matching so the receive side completes with Status::error.
   void on_failed_arrival(const Envelope& env);

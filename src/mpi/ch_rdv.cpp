@@ -77,16 +77,19 @@ RdvChannel::Buffered* RdvChannel::new_buffered(const SendOp& op,
   return b;
 }
 
-sim::Task<void> RdvChannel::start_send(SendOp op) {
-  auto& sp = mpi_->proc(op.env.src);
-  co_await sp.cpu().busy(cfg_.o_send);
+void RdvChannel::start_send(SendOp& op) {
+  mpi_->proc(op.env.src).cpu().busy_then(
+      cfg_.o_send, [this, o = &op] { route_send(*o); });
+}
+
+void RdvChannel::route_send(SendOp& op) {
   const bool intra = mpi_->same_node(op.env.src, op.env.dst);
   if (intra && op.env.bytes < cfg_.smp_threshold) {
-    co_await send_shm(std::move(op));
+    send_shm(op);
   } else if (op.env.bytes < cfg_.eager_threshold) {
-    co_await send_eager(std::move(op));  // loopback when intra
+    send_eager(op);  // loopback when intra
   } else {
-    co_await send_rendezvous(std::move(op));
+    send_rendezvous(op);
   }
 }
 
@@ -103,8 +106,9 @@ void RdvChannel::match_buffered(Buffered* b) {
     rp.engine().after(sim::Time::zero(), [this, b] { deliver_buffered(b); });
   } else {
     rp.matcher().add_unexpected(
-        {b->env,
-         [this, b](PostedRecv pr) { return claim_buffered(b, pr); }});
+        {b->env, [this, b](PostedRecv pr, sim::Cont done) {
+           claim_buffered(b, pr, done);
+         }});
   }
 }
 
@@ -127,28 +131,36 @@ void RdvChannel::deliver_buffered(Buffered* b) {
   });
 }
 
-sim::Task<void> RdvChannel::claim_buffered(Buffered* b, PostedRecv pr) {
-  co_await mpi_->proc(b->env.dst).cpu().busy(b->cost);
-  copy_out(b->payload, b->env, pr);
-  pr.req->complete(status_of(b->env));
-  release(b);
+void RdvChannel::claim_buffered(Buffered* b, PostedRecv pr, sim::Cont done) {
+  b->recv = pr;
+  b->claimed = done;
+  mpi_->proc(b->env.dst).cpu().busy_then(b->cost, [b] {
+    copy_out(b->payload, b->env, b->recv);
+    b->recv.req->complete(status_of(b->env));
+    const sim::Cont claimed = b->claimed;
+    release(b);
+    claimed();
+  });
 }
 
 // --- shared memory path ---------------------------------------------------
 
-sim::Task<void> RdvChannel::send_shm(SendOp op) {
-  const int node = mpi_->node_of(op.env.src);
-  // One reference: the receiver's. The sender completes below.
-  Buffered* b = new_buffered(op, 1);
+void RdvChannel::send_shm(SendOp& op) {
+  const auto node = static_cast<std::size_t>(mpi_->node_of(op.env.src));
+  shm_[node]->send_copy(op.env.bytes,
+                        sim::Cont::member<&RdvChannel::shm_copied>(this, &op));
+}
 
-  shm::ShmMsg m;
-  m.src_rank = op.env.src;
-  m.dst_rank = op.env.dst;
-  m.bytes = op.env.bytes;
-  m.remote_arrival = [this, b] { on_shm_arrival(b); };
-  co_await shm_[static_cast<std::size_t>(node)]->send_copy(std::move(m));
+void RdvChannel::shm_copied(SendOp& op) {
+  const auto node = static_cast<std::size_t>(mpi_->node_of(op.env.src));
+  // One reference: the receiver's. The sender completes below. The
+  // payload is captured at the end of the copy-in, while the sender is
+  // still inside its call.
+  Buffered* b = new_buffered(op, 1);
+  shm_[node]->publish(op.env.bytes, [this, b] { on_shm_arrival(b); });
   // Buffered: the sender is done after the copy-in.
   op.req->complete(status_of(op.env));
+  op.started();
 }
 
 void RdvChannel::on_shm_arrival(Buffered* b) {
@@ -189,17 +201,18 @@ void RdvChannel::fail_recv_side(const Envelope& env, int from_node) {
         release(b);
       } else {
         rp2.matcher().add_unexpected(
-            {b->env,
-             [this, b](PostedRecv pr) { return claim_error(b, pr); }});
+            {b->env, [this, b](PostedRecv pr, sim::Cont done) {
+               claim_error(b, pr, done);
+             }});
       }
     });
   });
 }
 
-sim::Task<void> RdvChannel::claim_error(Buffered* b, PostedRecv pr) {
+void RdvChannel::claim_error(Buffered* b, PostedRecv pr, sim::Cont done) {
   pr.req->complete(error_status(b->env));
   release(b);
-  co_return;
+  done();
 }
 
 void RdvChannel::fail_rendezvous(Rdv* r, int from_node) {
@@ -234,13 +247,17 @@ void RdvChannel::fail_rendezvous(Rdv* r, int from_node) {
 
 // --- eager path -------------------------------------------------------------
 
-sim::Task<void> RdvChannel::send_eager(SendOp op) {
-  auto& sp = mpi_->proc(op.env.src);
+void RdvChannel::send_eager(SendOp& op) {
+  const int snode = mpi_->node_of(op.env.src);
+  // Copy into pre-registered staging: sender CPU pays the memcpy.
+  mpi_->proc(op.env.src).cpu().busy_then(
+      fabric_->node(snode).mem().copy_time(op.env.bytes),
+      [this, o = &op] { post_eager(*o); });
+}
+
+void RdvChannel::post_eager(SendOp& op) {
   const int snode = mpi_->node_of(op.env.src);
   const int dnode = mpi_->node_of(op.env.dst);
-  // Copy into pre-registered staging: sender CPU pays the memcpy.
-  co_await sp.cpu().busy(
-      fabric_->node(snode).mem().copy_time(op.env.bytes));
   // Two references: the sender's completion and the receiver's delivery.
   Buffered* b = new_buffered(op, 2);
 
@@ -253,6 +270,7 @@ sim::Task<void> RdvChannel::send_eager(SendOp op) {
   m.remote_arrival = [this, b] { on_eager_arrival(b); };
   m.on_failed = [this, b] { fail_eager(b); };
   fabric_->post(std::move(m));
+  op.started();
 }
 
 void RdvChannel::complete_eager(Buffered* b) {
@@ -284,19 +302,25 @@ void RdvChannel::on_eager_arrival(Buffered* b) {
 
 // --- rendezvous path --------------------------------------------------------
 
-sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
-  auto& sp = mpi_->proc(op.env.src);
+void RdvChannel::send_rendezvous(SendOp& op) {
   const int snode = mpi_->node_of(op.env.src);
   const auto reg = regcache_(snode).try_acquire(op.buf.addr(), op.env.bytes);
-  if (reg.cost > sim::Time::zero()) co_await sp.cpu().busy(reg.cost);
-  if (!reg.ok) {
-    // Pin-down failed: degrade to the copy-in eager path, which only
-    // needs the pre-registered staging buffers. Slower (extra copy), but
-    // the send makes progress.
-    co_await send_eager(std::move(op));
-    co_return;
+  // A failed pin-down degrades to the copy-in eager path, which only
+  // needs the pre-registered staging buffers. Slower (extra copy), but
+  // the send makes progress.
+  sim::EventFn next = reg.ok ? sim::EventFn([this, o = &op] { post_rts(*o); })
+                             : sim::EventFn([this, o = &op] {
+                                 send_eager(*o);
+                               });
+  if (reg.cost > sim::Time::zero()) {
+    mpi_->proc(op.env.src).cpu().busy_then(reg.cost, std::move(next));
+  } else {
+    next.invoke();
   }
+}
 
+void RdvChannel::post_rts(SendOp& op) {
+  const int snode = mpi_->node_of(op.env.src);
   Rdv* r = rdv_.acquire(snode, mpi_->node_of(op.env.dst), 1);
   r->send = op;
   r->recv = PostedRecv{};
@@ -313,6 +337,7 @@ sim::Task<void> RdvChannel::send_rendezvous(SendOp op) {
     fail_rendezvous(r, mpi_->node_of(r->send.env.src));
   };
   fabric_->post(std::move(rts));
+  op.started();
 }
 
 void RdvChannel::on_rts(Rdv* r) {
@@ -330,7 +355,9 @@ void RdvChannel::match_rts(Rdv* r) {
     rp.engine().after(sim::Time::zero(), [this, r] { send_cts_after(r); });
   } else {
     rp.matcher().add_unexpected(
-        {r->send.env, [this, r](PostedRecv pr) { return claim_rts(r, pr); }});
+        {r->send.env, [this, r](PostedRecv pr, sim::Cont done) {
+           claim_rts(r, pr, done);
+         }});
   }
 }
 
@@ -348,11 +375,15 @@ sim::Time RdvChannel::cts_cost(Rdv* r) {
   return cost;
 }
 
-sim::Task<void> RdvChannel::claim_rts(Rdv* r, PostedRecv pr) {
+void RdvChannel::claim_rts(Rdv* r, PostedRecv pr, sim::Cont done) {
   r->recv = pr;
   r->recv_matched = true;
-  co_await mpi_->proc(r->send.env.dst).cpu().busy(cts_cost(r));
-  post_cts(r);
+  r->claimed = done;
+  mpi_->proc(r->send.env.dst).cpu().busy_then(cts_cost(r), [this, r] {
+    const sim::Cont claimed = r->claimed;
+    post_cts(r);
+    claimed();
+  });
 }
 
 void RdvChannel::send_cts_after(Rdv* r) {

@@ -65,7 +65,7 @@ class RdvChannel final : public Device {
              std::function<model::RegistrationCache&(int)> regcache,
              std::function<std::uint64_t(int)> memory);
 
-  sim::Task<void> start_send(SendOp op) override;
+  void start_send(SendOp& op) override;
   bool has_hw_broadcast() const override { return cfg_.hw_multicast; }
   void hw_broadcast(Rank root, std::uint64_t bytes, std::uint64_t addr,
                     std::function<void()> done) override;
@@ -87,7 +87,8 @@ class RdvChannel final : public Device {
     RequestState* req = nullptr;
     bool local_done = false;
     sim::Time cost;  // receiver host cost, fixed when the data arrives
-    PostedRecv recv;  // the posted receive it matched on arrival, if any
+    PostedRecv recv;  // the receive it matched: on arrival, or its claim
+    sim::Cont claimed;  // the claiming receive's continuation
     std::vector<std::byte> payload;  // real payloads only; capacity kept
   };
 
@@ -99,14 +100,23 @@ class RdvChannel final : public Device {
     SendOp send;
     PostedRecv recv;
     sim::Time cts_cost;  // receiver host work before the CTS goes out
+    sim::Cont claimed;   // the claiming receive's continuation, if any
     bool recv_matched = false;  // receiver side
     bool recv_done = false;     // receiver side
     bool send_done = false;     // sender side
   };
 
-  sim::Task<void> send_shm(SendOp op);
-  sim::Task<void> send_eager(SendOp op);
-  sim::Task<void> send_rendezvous(SendOp op);
+  // The send path: a chain of events over the caller's SendOp, each step
+  // starting where the coroutine it replaces resumed (the o_send pause,
+  // the copy-in, the staging copy, the registration), ending in
+  // op.started.
+  void route_send(SendOp& op);
+  void send_shm(SendOp& op);
+  void shm_copied(SendOp& op);
+  void send_eager(SendOp& op);
+  void post_eager(SendOp& op);
+  void send_rendezvous(SendOp& op);
+  void post_rts(SendOp& op);
 
   /// A buffered message carrying `op`'s envelope, request and payload.
   Buffered* new_buffered(const SendOp& op, std::uint32_t refs);
@@ -135,10 +145,13 @@ class RdvChannel final : public Device {
   void send_cts_after(Rdv* r);
   void send_data_after(Rdv* r);
   void complete_fin(Rdv* r);
-  // Unexpected arrivals: claimed later inside the receive call.
-  sim::Task<void> claim_buffered(Buffered* b, PostedRecv pr);
-  sim::Task<void> claim_error(Buffered* b, PostedRecv pr);
-  sim::Task<void> claim_rts(Rdv* r, PostedRecv pr);
+  // Unexpected arrivals: claimed later inside the receive call. A claim
+  // keeps the receive and its continuation in the message's record, and
+  // runs the continuation at once (an error envelope) or from the event
+  // that ends its host work.
+  void claim_buffered(Buffered* b, PostedRecv pr, sim::Cont done);
+  void claim_error(Buffered* b, PostedRecv pr, sim::Cont done);
+  void claim_rts(Rdv* r, PostedRecv pr, sim::Cont done);
   void post_cts(Rdv* r);
   /// Receive-buffer pinning cost before the CTS can advertise it.
   sim::Time cts_cost(Rdv* r);

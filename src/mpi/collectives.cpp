@@ -285,18 +285,6 @@ sim::Task<void> Comm::alltoallv_impl(
   co_await finish_collective(tag, err);
 }
 
-sim::Task<Status> Comm::sendrecv_internal(View sendbuf, Rank dst, Tag stag,
-                                          View recvbuf, Rank src, Tag rtag) {
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag);
-  const Status sst = co_await wait(sreq);
-  Status rst = co_await wait(rreq);
-  // The exchange is one logical operation: a failed send leg errors the
-  // returned status even when the receive leg completed.
-  if (sst.error != kErrNone) rst.error = sst.error;
-  co_return rst;
-}
-
 sim::Task<int> Comm::agree_error(Tag tag, int err) {
   const int p = size();
   if (p == 1) co_return err;

@@ -87,78 +87,138 @@ void Comm::check_count(const View& buf, std::size_t count, Dtype dtype) {
   }
 }
 
-sim::Task<Request> Comm::isend_impl(View buf, Rank dst, Tag tag) {
-  check_rank(dst, "bad dest rank");
-  buf = mpi_->canon(rank_, buf);
-  auto& p = mpi_->proc(rank_);
-  sim::MpiScope scope(p.cpu());
-  p.drain_deferred();
-
-  // The handle exists before the device sees the request: a device may
-  // complete it before start_send returns.
-  Request req(p.requests().make(&mpi_->request_ledger()));
-  SendOp op;
-  op.env = Envelope{rank_, dst, tag, buf.bytes()};
-  op.buf = buf;
-  op.req = req.state();
-  co_await mpi_->device().start_send(std::move(op));
-  co_return req;
-}
-
-sim::Task<Request> Comm::irecv_impl(View buf, Rank src, Tag tag) {
-  buf = mpi_->canon(rank_, buf);
-  auto& p = mpi_->proc(rank_);
-  sim::MpiScope scope(p.cpu());
-  p.drain_deferred();
-
-  const sim::Time post_cost = mpi_->device().recv_post_cost();
-  if (post_cost > sim::Time::zero()) co_await p.cpu().busy(post_cost);
-
-  Request req(p.requests().make(&mpi_->request_ledger()));
-  PostedRecv pr{src, tag, buf, req.state()};
-  if (auto u = p.matcher().match_posted(src, tag)) {
-    co_await u->claim(std::move(pr));
-  } else {
-    p.matcher().post(std::move(pr));
+void Comm::check_tag(Tag t, bool any_ok, const char* what) {
+  if ((t < 0 || t >= kCollectiveTagBase) && !(any_ok && t == kAnyTag)) {
+    throw std::invalid_argument(what);
   }
-  co_return req;
 }
 
-sim::Task<void> Comm::send(View buf, Rank dst, Tag tag) {
+// --- point-to-point awaiters -------------------------------------------------
+
+void Comm::P2PAwaiter::send_leg(SendOp& op, Request& req, sim::Cont then) {
+  Proc& p = comm_->mpi_->proc(comm_->rank_);
+  p.drain_deferred();
+  // The handle exists before the device sees the request: a device may
+  // complete it before it runs `then`.
+  req = Request(p.requests().make(&comm_->mpi_->request_ledger()));
+  op.req = req.state();
+  op.started = then;
+  comm_->mpi_->device().start_send(op);
+}
+
+void Comm::P2PAwaiter::recv_leg(sim::Cont then) {
+  Proc& p = comm_->mpi_->proc(comm_->rank_);
+  p.drain_deferred();
+  const sim::Time post_cost = comm_->mpi_->device().recv_post_cost();
+  if (post_cost > sim::Time::zero()) {
+    p.cpu().busy_then(post_cost, then.event());
+  } else {
+    then();
+  }
+}
+
+void Comm::P2PAwaiter::post_recv(PostedRecv& pr, Request& req,
+                                 sim::Cont then) {
+  Proc& p = comm_->mpi_->proc(comm_->rank_);
+  req = Request(p.requests().make(&comm_->mpi_->request_ledger()));
+  pr.req = req.state();
+  if (auto u = p.matcher().match_posted(pr.want_src, pr.want_tag)) {
+    u->claim(pr, then);
+  } else {
+    p.matcher().post(pr);
+    then();
+  }
+}
+
+void Comm::P2PAwaiter::wait_leg(Request& req) {
+  comm_->mpi_->proc(comm_->rank_).drain_deferred();
+  if (req.done()) {
+    finish();
+  } else {
+    req.await_done().await_suspend(caller_);
+  }
+}
+
+void Comm::SendrecvAwaiter::posted() {
+  // isend_impl canonicalizes its view here, after the receive is posted.
+  op_.buf = comm_->mpi_->canon(comm_->rank_, op_.buf);
+  if (traced_) {
+    const bool intra = comm_->mpi_->same_node(comm_->rank_, op_.env.dst);
+    comm_->mpi_->recorder().on_send(comm_->rank_, op_.buf.bytes(), false,
+                                    op_.buf.addr(), intra);
+  }
+  send_leg(op_, sreq_, sim::Cont::member<&SendrecvAwaiter::started>(this));
+}
+
+void Comm::SendrecvAwaiter::started() {
+  comm_->mpi_->proc(comm_->rank_).drain_deferred();
+  if (sreq_.done()) {
+    sent();
+  } else {
+    sreq_.state()->trig.notify(
+        sim::Cont::member<&SendrecvAwaiter::sent>(this));
+  }
+}
+
+Status Comm::SendrecvAwaiter::await_resume() {
+  scope_.leave();
+  Status st = rreq_.status();
+  if (!traced_) {
+    // The exchange is one logical operation: a failed send leg errors
+    // the returned status even when the receive leg completed.
+    if (sreq_.status().error != kErrNone) st.error = sreq_.status().error;
+    return st;
+  }
+  // One interval event for the exchange; the receive leg is recorded as a
+  // zero-length marker so per-rank MPI time is not double counted.
+  comm_->trace(prof::EventKind::kSend, "Sendrecv", op_.env.dst,
+               op_.env.bytes, t_start_);
+  comm_->trace(prof::EventKind::kRecv, "Sendrecv", st.source, st.bytes,
+               comm_->wtime());
+  return st;
+}
+
+Comm::IsendAwaiter Comm::isend_impl(View buf, Rank dst, Tag tag) {
   check_rank(dst, "bad dest rank");
+  return IsendAwaiter(*this, mpi_->canon(rank_, buf), dst, tag);
+}
+
+Comm::IrecvAwaiter Comm::irecv_impl(View buf, Rank src, Tag tag) {
+  return IrecvAwaiter(*this, mpi_->canon(rank_, buf), src, tag);
+}
+
+Comm::SendAwaiter Comm::send(View buf, Rank dst, Tag tag) {
+  check_rank(dst, "bad dest rank");
+  check_tag(tag, false, "bad send tag");
   buf = mpi_->canon(rank_, buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), false, buf.addr(), intra);
-  const double tt0 = wtime();
-  Request req = co_await isend_impl(buf, dst, tag);
-  co_await wait(std::move(req));
-  trace(prof::EventKind::kSend, "Send", dst, buf.bytes(), tt0);
+  return SendAwaiter(*this, buf, dst, tag, wtime());
 }
 
-sim::Task<Status> Comm::recv(View buf, Rank src, Tag tag) {
+Comm::RecvAwaiter Comm::recv(View buf, Rank src, Tag tag) {
   if (src != kAnySource) check_rank(src, "bad source rank");
+  check_tag(tag, true, "bad receive tag");
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), false, buf.addr());
-  const double tt0 = wtime();
-  Request req = co_await irecv_impl(buf, src, tag);
-  const Status st = co_await wait(std::move(req));
-  trace(prof::EventKind::kRecv, "Recv", st.source, st.bytes, tt0);
-  co_return st;
+  return RecvAwaiter(*this, buf, src, tag, wtime());
 }
 
-sim::Task<Request> Comm::isend(View buf, Rank dst, Tag tag) {
+Comm::IsendAwaiter Comm::isend(View buf, Rank dst, Tag tag) {
   check_rank(dst, "bad dest rank");
+  check_tag(tag, false, "bad send tag");
   buf = mpi_->canon(rank_, buf);
   const bool intra = mpi_->same_node(rank_, dst);
   mpi_->recorder().on_send(rank_, buf.bytes(), true, buf.addr(), intra);
-  return isend_impl(buf, dst, tag);
+  return IsendAwaiter(*this, buf, dst, tag);
 }
 
-sim::Task<Request> Comm::irecv(View buf, Rank src, Tag tag) {
+Comm::IrecvAwaiter Comm::irecv(View buf, Rank src, Tag tag) {
   if (src != kAnySource) check_rank(src, "bad source rank");
+  check_tag(tag, true, "bad receive tag");
   buf = mpi_->canon(rank_, buf);
   mpi_->recorder().on_recv(rank_, buf.bytes(), true, buf.addr());
-  return irecv_impl(buf, src, tag);
+  return IrecvAwaiter(*this, buf, src, tag);
 }
 
 Comm::WaitAwaiter Comm::wait(Request req) {
@@ -171,26 +231,26 @@ sim::Task<void> Comm::wait_all(std::vector<Request> reqs) {
   }
 }
 
-sim::Task<Status> Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
-                                 View recvbuf, Rank src, Tag rtag) {
+Comm::SendrecvAwaiter Comm::sendrecv(View sendbuf, Rank dst, Tag stag,
+                                     View recvbuf, Rank src, Tag rtag) {
   check_rank(dst, "bad dest rank");
   if (src != kAnySource) check_rank(src, "bad source rank");
+  check_tag(stag, false, "bad send tag");
+  check_tag(rtag, true, "bad receive tag");
   sendbuf = mpi_->canon(rank_, sendbuf);
   recvbuf = mpi_->canon(rank_, recvbuf);
   mpi_->recorder().on_recv(rank_, recvbuf.bytes(), false, recvbuf.addr());
-  const double tt0 = wtime();
-  Request rreq = co_await irecv_impl(recvbuf, src, rtag);
-  const bool intra = mpi_->same_node(rank_, dst);
-  mpi_->recorder().on_send(rank_, sendbuf.bytes(), false, sendbuf.addr(),
-                           intra);
-  Request sreq = co_await isend_impl(sendbuf, dst, stag);
-  co_await wait(sreq);
-  const Status st = co_await wait(rreq);
-  // One interval event for the exchange; the receive leg is recorded as a
-  // zero-length marker so per-rank MPI time is not double counted.
-  trace(prof::EventKind::kSend, "Sendrecv", dst, sendbuf.bytes(), tt0);
-  trace(prof::EventKind::kRecv, "Sendrecv", st.source, st.bytes, wtime());
-  co_return st;
+  return SendrecvAwaiter(*this, sendbuf, dst, stag, recvbuf, src, rtag,
+                         /*traced=*/true, wtime());
+}
+
+Comm::SendrecvAwaiter Comm::sendrecv_internal(View sendbuf, Rank dst,
+                                              Tag stag, View recvbuf,
+                                              Rank src, Tag rtag) {
+  check_rank(dst, "bad dest rank");
+  return SendrecvAwaiter(*this, sendbuf, dst, stag,
+                         mpi_->canon(rank_, recvbuf), src, rtag,
+                         /*traced=*/false, 0.0);
 }
 
 sim::Task<Status> Comm::probe(Rank src, Tag tag) {
@@ -199,6 +259,7 @@ sim::Task<Status> Comm::probe(Rank src, Tag tag) {
   // real call (the engine reports it as a deadlock only if no other
   // event remains, since polling keeps the queue alive).
   if (src != kAnySource) check_rank(src, "bad source rank");
+  check_tag(tag, true, "bad receive tag");
   auto& p = mpi_->proc(rank_);
   // The host stays inside MPI across the poll pauses too, so protocol
   // work arriving mid-poll (an RTS) is handled, not deferred.

@@ -1,6 +1,7 @@
 // The public MPI-like API. One Comm object per rank, all sharing the Mpi
-// job. Calls are awaited inside the rank's simulated process: most are
-// coroutines, while wait and compute are plain awaiters without a frame.
+// job. Calls are awaited inside the rank's simulated process. The
+// point-to-point calls, wait and compute are plain awaiters without a
+// coroutine frame; wait_all, probe and the collectives are coroutines.
 //
 // Naming follows MPI-1 (send/recv/isend/irecv/wait/collectives); buffers
 // are Views (real or synthetic; see mpi/types.hpp).
@@ -89,20 +90,34 @@ class Comm {
   ComputeAwaiter compute(double seconds);
 
   // --- point-to-point ----------------------------------------------------
+  //
+  // send, recv, isend, irecv and sendrecv check their arguments, record
+  // the call and start its trace interval at the call, and return a plain
+  // awaiter (defined below the class) that holds the rest of the call's
+  // state — its MPI scope, the SendOp or PostedRecv, the Request — in the
+  // caller's frame. co_await it at once. User tags lie in
+  // [0, kCollectiveTagBase); a receive may also name kAnyTag. A bad rank
+  // or tag throws std::invalid_argument at the call.
 
-  sim::Task<void> send(View buf, Rank dst, Tag tag);
-  sim::Task<Status> recv(View buf, Rank src = kAnySource, Tag tag = kAnyTag);
-  sim::Task<Request> isend(View buf, Rank dst, Tag tag);
-  sim::Task<Request> irecv(View buf, Rank src = kAnySource,
-                           Tag tag = kAnyTag);
+  class P2PAwaiter;
+  class SendAwaiter;
+  class RecvAwaiter;
+  class IsendAwaiter;
+  class IrecvAwaiter;
+  class SendrecvAwaiter;
+
+  SendAwaiter send(View buf, Rank dst, Tag tag);
+  RecvAwaiter recv(View buf, Rank src = kAnySource, Tag tag = kAnyTag);
+  IsendAwaiter isend(View buf, Rank dst, Tag tag);
+  IrecvAwaiter irecv(View buf, Rank src = kAnySource, Tag tag = kAnyTag);
   WaitAwaiter wait(Request req);
   sim::Task<void> wait_all(std::vector<Request> reqs);
   /// Blocking probe: wait until a matching message has arrived
   /// (MPI_Probe). The message stays queued for a later recv.
   sim::Task<Status> probe(Rank src, Tag tag);
   /// Combined exchange (MPI_Sendrecv): both directions in flight at once.
-  sim::Task<Status> sendrecv(View sendbuf, Rank dst, Tag stag, View recvbuf,
-                             Rank src, Tag rtag);
+  SendrecvAwaiter sendrecv(View sendbuf, Rank dst, Tag stag, View recvbuf,
+                           Rank src, Tag rtag);
 
   // --- collectives (COMM_WORLD) -------------------------------------------
   //
@@ -150,11 +165,16 @@ class Comm {
   sim::Task<void> alltoall_impl(View sendbuf, View recvbuf, std::uint64_t per_rank);
   sim::Task<void> alltoallv_impl(View sendbuf, const std::vector<std::uint64_t>& send_counts, View recvbuf, const std::vector<std::uint64_t>& recv_counts);
 
-  sim::Task<Request> isend_impl(View buf, Rank dst, Tag tag);
-  sim::Task<Request> irecv_impl(View buf, Rank src, Tag tag);
+  /// isend and irecv without the user-tag check, the profiler record or
+  /// the trace: the collectives' own point-to-point legs.
+  IsendAwaiter isend_impl(View buf, Rank dst, Tag tag);
+  IrecvAwaiter irecv_impl(View buf, Rank src, Tag tag);
   /// Throws std::invalid_argument (message `what`) unless `r` is a rank
   /// of this job.
   void check_rank(Rank r, const char* what) const;
+  /// Throws std::invalid_argument (message `what`) unless `t` is a user
+  /// tag, or kAnyTag where `any_ok` (a receive).
+  static void check_tag(Tag t, bool any_ok, const char* what);
   /// Throws std::invalid_argument unless `count` elements of `dtype` fit
   /// in `buf` (real or synthetic).
   static void check_count(const View& buf, std::size_t count, Dtype dtype);
@@ -163,8 +183,10 @@ class Comm {
   /// Next collective tag/slot id (same sequence on every rank).
   Tag next_coll_tag();
 
-  sim::Task<Status> sendrecv_internal(View sendbuf, Rank dst, Tag stag,
-                                      View recvbuf, Rank src, Tag rtag);
+  /// sendrecv without the profiler record or the trace; a failed send
+  /// leg errors the returned status too.
+  SendrecvAwaiter sendrecv_internal(View sendbuf, Rank dst, Tag stag,
+                                    View recvbuf, Rank src, Tag rtag);
   /// Internal collective building blocks. Both return the error envelope
   /// accumulated over their point-to-point legs (kErrNone or kErrFabric)
   /// instead of hiding it: a dead link errors the affected wait rather
@@ -205,6 +227,202 @@ class Comm {
   Rank rank_;
   std::uint64_t coll_seq_ = 0;
   int last_error_ = kErrNone;
+};
+
+/// The frame-free machinery the point-to-point awaiters share. A call is
+/// a short chain of legs, each the body of a coroutine it replaces: the
+/// send leg (isend_impl's: make the request, hand the SendOp to the
+/// device), the receive leg (irecv_impl's: pay the device's post cost,
+/// claim an unexpected message or post the receive) and the wait leg
+/// (Comm::wait's: drain the deferred queue, then resume the caller once
+/// the request is done). A leg the device ends from an event continues
+/// from that event, where the coroutine resumed; one that ends at once
+/// continues at once, and await_suspend then lets the caller go on
+/// without suspending, as awaiting a Task that never suspended did. The
+/// call enters MPI when awaited and leaves as its caller resumes, and
+/// nothing touches the awaiter once it has resumed its caller.
+class Comm::P2PAwaiter {
+ public:
+  bool await_ready() const noexcept { return false; }
+  P2PAwaiter(const P2PAwaiter&) = delete;
+  P2PAwaiter& operator=(const P2PAwaiter&) = delete;
+
+ protected:
+  explicit P2PAwaiter(Comm& comm) : comm_(&comm) {}
+  ~P2PAwaiter() = default;
+
+  /// Set the caller aside and enter MPI; the legs the awaiter starts
+  /// next run as part of await_suspend until suspended() closes it.
+  void enter(std::coroutine_handle<> h) {
+    caller_ = h;
+    scope_.enter(comm_->cpu());
+    launching_ = true;
+  }
+  /// Whether the caller stays suspended once await_suspend returns.
+  bool suspended() {
+    launching_ = false;
+    return !finished_;
+  }
+  /// The call is done: resume the caller, or let await_suspend not
+  /// suspend it.
+  void finish() {
+    if (launching_) {
+      finished_ = true;
+    } else {
+      caller_.resume();
+    }
+  }
+
+  /// Each leg runs `then` when it ends; recv_leg's `then` is the
+  /// awaiter's call of post_recv, run at once or from the event that
+  /// ends the device's post cost.
+  void send_leg(SendOp& op, Request& req, sim::Cont then);
+  void recv_leg(sim::Cont then);
+  void post_recv(PostedRecv& pr, Request& req, sim::Cont then);
+  void wait_leg(Request& req);
+
+  Comm* comm_;
+  sim::MpiScope scope_;
+
+ private:
+  std::coroutine_handle<> caller_;
+  bool launching_ = false;
+  bool finished_ = false;
+};
+
+class [[nodiscard]] Comm::IsendAwaiter : public Comm::P2PAwaiter {
+ public:
+  IsendAwaiter(Comm& comm, View buf, Rank dst, Tag tag)
+      : P2PAwaiter(comm),
+        op_{Envelope{comm.rank_, dst, tag, buf.bytes()}, buf, nullptr, {}} {}
+  bool await_suspend(std::coroutine_handle<> h) {
+    enter(h);
+    send_leg(op_, req_, sim::Cont::member<&IsendAwaiter::finish>(this));
+    return suspended();
+  }
+  Request await_resume() {
+    scope_.leave();
+    return std::move(req_);
+  }
+
+ private:
+  SendOp op_;
+  Request req_;
+};
+
+class [[nodiscard]] Comm::IrecvAwaiter : public Comm::P2PAwaiter {
+ public:
+  IrecvAwaiter(Comm& comm, View buf, Rank src, Tag tag)
+      : P2PAwaiter(comm), pr_{src, tag, buf, nullptr} {}
+  bool await_suspend(std::coroutine_handle<> h) {
+    enter(h);
+    recv_leg(sim::Cont::member<&IrecvAwaiter::post_now>(this));
+    return suspended();
+  }
+  Request await_resume() {
+    scope_.leave();
+    return std::move(req_);
+  }
+
+ private:
+  void post_now() {
+    post_recv(pr_, req_, sim::Cont::member<&IrecvAwaiter::finish>(this));
+  }
+
+  PostedRecv pr_;
+  Request req_;
+};
+
+class [[nodiscard]] Comm::SendAwaiter : public Comm::P2PAwaiter {
+ public:
+  SendAwaiter(Comm& comm, View buf, Rank dst, Tag tag, double t_start)
+      : P2PAwaiter(comm),
+        op_{Envelope{comm.rank_, dst, tag, buf.bytes()}, buf, nullptr, {}},
+        t_start_(t_start) {}
+  bool await_suspend(std::coroutine_handle<> h) {
+    enter(h);
+    send_leg(op_, req_, sim::Cont::member<&SendAwaiter::started>(this));
+    return suspended();
+  }
+  void await_resume() {
+    scope_.leave();
+    comm_->trace(prof::EventKind::kSend, "Send", op_.env.dst, op_.env.bytes,
+                 t_start_);
+  }
+
+ private:
+  void started() { wait_leg(req_); }
+
+  SendOp op_;
+  Request req_;
+  double t_start_;
+};
+
+class [[nodiscard]] Comm::RecvAwaiter : public Comm::P2PAwaiter {
+ public:
+  RecvAwaiter(Comm& comm, View buf, Rank src, Tag tag, double t_start)
+      : P2PAwaiter(comm), pr_{src, tag, buf, nullptr}, t_start_(t_start) {}
+  bool await_suspend(std::coroutine_handle<> h) {
+    enter(h);
+    recv_leg(sim::Cont::member<&RecvAwaiter::post_now>(this));
+    return suspended();
+  }
+  Status await_resume() {
+    scope_.leave();
+    const Status st = req_.status();
+    comm_->trace(prof::EventKind::kRecv, "Recv", st.source, st.bytes,
+                 t_start_);
+    return st;
+  }
+
+ private:
+  void post_now() {
+    post_recv(pr_, req_, sim::Cont::member<&RecvAwaiter::posted>(this));
+  }
+  void posted() { wait_leg(req_); }
+
+  PostedRecv pr_;
+  Request req_;
+  double t_start_;
+};
+
+/// Both legs in flight at once: post the receive, start the send, wait
+/// for the send and then for the receive. The wait for the send goes
+/// through a frame-free Trigger waiter, so its wake-up is the event that
+/// resumed the coroutine this replaces. `traced` is the public call
+/// (profiler record, trace); sendrecv_internal passes false.
+class [[nodiscard]] Comm::SendrecvAwaiter : public Comm::P2PAwaiter {
+ public:
+  SendrecvAwaiter(Comm& comm, View sendbuf, Rank dst, Tag stag,
+                  View recvbuf, Rank src, Tag rtag, bool traced,
+                  double t_start)
+      : P2PAwaiter(comm),
+        op_{Envelope{comm.rank_, dst, stag, sendbuf.bytes()}, sendbuf,
+            nullptr, {}},
+        pr_{src, rtag, recvbuf, nullptr},
+        traced_(traced),
+        t_start_(t_start) {}
+  bool await_suspend(std::coroutine_handle<> h) {
+    enter(h);
+    recv_leg(sim::Cont::member<&SendrecvAwaiter::post_now>(this));
+    return suspended();
+  }
+  Status await_resume();
+
+ private:
+  void post_now() {
+    post_recv(pr_, rreq_, sim::Cont::member<&SendrecvAwaiter::posted>(this));
+  }
+  void posted();
+  void started();
+  void sent() { wait_leg(rreq_); }
+
+  SendOp op_;
+  PostedRecv pr_;
+  Request sreq_;
+  Request rreq_;
+  bool traced_;
+  double t_start_;
 };
 
 }  // namespace mns::mpi

@@ -1,9 +1,11 @@
 // ADI-style device interface.
 //
 // Mirrors MPICH's layering: the public MPI API (Comm) sits on an abstract
-// device; each interconnect provides one. All host-side initiation work is
-// coroutine-shaped so it charges the calling rank's simulated CPU;
-// completion flows back through RequestState.
+// device; each interconnect provides one. Host-side initiation work
+// charges the calling rank's simulated CPU as a chain of events over the
+// caller's SendOp, without a coroutine frame, and hands control back
+// through the op's continuation; completion flows back through
+// RequestState.
 #pragma once
 
 #include <cstdint>
@@ -12,25 +14,31 @@
 
 #include "mpi/request.hpp"
 #include "mpi/types.hpp"
-#include "sim/task.hpp"
+#include "sim/engine.hpp"
 
 namespace mns::mpi {
 
+/// A send being initiated. The caller owns it and keeps it alive until
+/// the device runs `started`.
 struct SendOp {
   Envelope env;
   View buf;
   /// Completed exactly once by the device (see RequestState).
   RequestState* req = nullptr;
+  /// Run once the send is locally initiated; the device touches the op
+  /// no more after that.
+  sim::Cont started;
 };
 
 class Device {
  public:
   virtual ~Device() = default;
 
-  /// Initiate a send from the sender rank's coroutine. Returns once the
-  /// send is locally initiated (eager handed to the NIC / rendezvous RTS
-  /// posted); op.req completes when MPI semantics allow buffer reuse.
-  virtual sim::Task<void> start_send(SendOp op) = 0;
+  /// Initiate a send from the sender rank's context: the device charges
+  /// the sender's CPU through events and runs op.started once the send is
+  /// locally initiated (eager handed to the NIC / rendezvous RTS posted);
+  /// op.req completes when MPI semantics allow buffer reuse.
+  virtual void start_send(SendOp& op) = 0;
 
   /// Host cost of posting a receive (beyond matching).
   virtual sim::Time recv_post_cost() const { return sim::Time::zero(); }

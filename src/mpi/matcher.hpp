@@ -33,8 +33,8 @@
 
 #include "mpi/request.hpp"
 #include "mpi/types.hpp"
+#include "sim/engine.hpp"
 #include "sim/sync.hpp"
-#include "sim/task.hpp"
 #include "util/annotations.hpp"
 
 namespace mns::mpi {
@@ -51,16 +51,17 @@ struct PostedRecv {
 /// The device continuation of an unexpected message, run (in the
 /// receiving rank's context) when a receive finally matches: it copies
 /// buffered payload out, or kicks the rendezvous CTS, and ultimately
-/// completes the request. Like sim::EventFn's inline form it holds a
-/// callable of at most two trivially copyable words, so queueing one
-/// never allocates; it is invoked in place, so a coroutine lambda's
-/// captures live as long as the Unexpected that holds it.
+/// completes the request, then runs `done` — at once, or from the event
+/// that ends its host work. It keeps the PostedRecv and `done` in its own
+/// pooled record, so nothing outlives the call but that record. Like
+/// sim::EventFn's inline form it holds a callable of at most two
+/// trivially copyable words, so queueing one never allocates.
 class ClaimFn {
  public:
   ClaimFn() = default;
   template <class F>
     requires(!std::is_same_v<std::decay_t<F>, ClaimFn> &&
-             std::is_invocable_r_v<sim::Task<void>, F&, PostedRecv>)
+             std::is_invocable_r_v<void, F&, PostedRecv, sim::Cont>)
   ClaimFn(F f) noexcept : call_(&thunk<F>) {
     static_assert(std::is_trivially_copyable_v<F> &&
                       sizeof(F) <= sizeof(words_) &&
@@ -70,18 +71,18 @@ class ClaimFn {
   }
 
   explicit operator bool() const noexcept { return call_ != nullptr; }
-  sim::Task<void> operator()(PostedRecv pr) {
-    return call_(words_, std::move(pr));
+  void operator()(PostedRecv pr, sim::Cont done) {
+    call_(words_, std::move(pr), done);
   }
 
  private:
   template <class F>
-  static sim::Task<void> thunk(void* words, PostedRecv pr) {
-    return (*std::launder(reinterpret_cast<F*>(words)))(std::move(pr));
+  static void thunk(void* words, PostedRecv pr, sim::Cont done) {
+    (*std::launder(reinterpret_cast<F*>(words)))(std::move(pr), done);
   }
 
   alignas(void*) unsigned char words_[2 * sizeof(void*)] = {};
-  sim::Task<void> (*call_)(void*, PostedRecv) = nullptr;
+  void (*call_)(void*, PostedRecv, sim::Cont) = nullptr;
 };
 
 /// A message that arrived before a matching receive was posted.

@@ -26,29 +26,29 @@ struct ShmConfig {
   model::MemcpyConfig copy;    // the two memcpy halves
 };
 
-struct ShmMsg {
-  int src_rank = 0;
-  int dst_rank = 0;
-  std::uint64_t bytes = 0;
-  sim::EventFn remote_arrival;  // data visible to the receiver
-};
-
-/// One per node. `send_copy` is awaited by the *sender* (its CPU does the
-/// copy-in); the receiver's copy-out cost is exposed via `copy_time` and
+/// One per node. The *sender's* CPU does the copy-in (send_copy, then
+/// publish); the receiver's copy-out cost is exposed via `recv_cost` and
 /// charged by the device when the message is matched.
 class ShmDomain {
  public:
   ShmDomain(sim::Engine& eng, const ShmConfig& cfg)
       : eng_(&eng), cfg_(cfg), copier_(cfg.copy) {}
 
-  /// Sender-side: descriptor post + copy-in. On return the sender may
-  /// reuse its buffer; `remote_arrival` fires after the visibility delay.
-  sim::Task<void> send_copy(ShmMsg msg) {
-    co_await eng_->delay(cfg_.post_cost + copier_.copy_time(msg.bytes));
+  /// Sender side: descriptor post + copy-in of `bytes`. `copied` runs as
+  /// the event that ends the copy-in: the sender may reuse its buffer
+  /// from then on, and `copied` hands the message on with publish().
+  void send_copy(std::uint64_t bytes, sim::Cont copied) {
+    eng_->after(cfg_.post_cost + copier_.copy_time(bytes),
+                copied.event());
+  }
+
+  /// A copy-in of `bytes` has ended: the message becomes visible to the
+  /// receiver, and `remote_arrival` fires after the visibility delay.
+  void publish(std::uint64_t bytes, sim::EventFn remote_arrival) {
     ++messages_;
-    bytes_ += msg.bytes;
-    if (msg.remote_arrival) {
-      eng_->after(cfg_.visibility_delay, std::move(msg.remote_arrival));
+    bytes_ += bytes;
+    if (remote_arrival) {
+      eng_->after(cfg_.visibility_delay, std::move(remote_arrival));
     }
   }
 

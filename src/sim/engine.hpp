@@ -249,6 +249,38 @@ struct EventKey {
   bool before(const EventKey& o) const noexcept { return packed < o.packed; }
 };
 
+/// A frame-free continuation: a plain function and the two words it runs
+/// on, the shape of an inline EventFn payload, trivially copyable. An
+/// operation that runs as a chain of events instead of a coroutine frame
+/// (a device send, an unexpected-message claim, a shared-memory copy-in)
+/// takes one in place of returning a Task, keeps it beside its caller's
+/// state, and runs it once when done: called directly where the Task
+/// would have resumed its awaiter by symmetric transfer, or queued as an
+/// event (event()) where the awaiter would have been woken by one.
+/// Nothing may touch the caller's state after running it.
+struct Cont {
+  EventFn::Raw fn = nullptr;
+  void* a = nullptr;
+  void* b = nullptr;
+  void operator()() const { fn(a, b); }
+  /// The same call as an event payload (stored inline, never boxed).
+  EventFn event() const noexcept { return EventFn(fn, a, b); }
+
+  /// The Cont that runs `(self->*M)()`.
+  template <auto M, class T>
+  static Cont member(T* self) noexcept {
+    return Cont{[](void* s, void*) { (static_cast<T*>(s)->*M)(); }, self};
+  }
+  /// The Cont that runs `(self->*M)(*arg)`.
+  template <auto M, class T, class A>
+  static Cont member(T* self, A* arg) noexcept {
+    return Cont{[](void* s, void* x) {
+                  (static_cast<T*>(s)->*M)(*static_cast<A*>(x));
+                },
+                self, arg};
+  }
+};
+
 class Engine;
 
 /// Awaiter for a fixed pause: resumes the awaiting coroutine `d` from now
@@ -370,9 +402,9 @@ class alignas(64) Engine {
   Delay delay(Time d) { return Delay{this, d}; }
 
   /// Launch `t` as a process. It starts via the event queue at the current
-  /// time, so spawn order is start order. A `daemon` process (a NIC
-  /// firmware loop, a progress engine) does not keep the simulation alive:
-  /// run() completes when only daemons remain blocked.
+  /// time, so spawn order is start order. A `daemon` process (a switch
+  /// broadcast's fan-out) does not keep the simulation alive: run()
+  /// completes when only daemons remain blocked.
   void spawn(Task<void> t, bool daemon = false);
 
   /// Run until the event queue drains. Throws the first exception escaping
@@ -523,6 +555,14 @@ class Cpu {
     return eng_->delay(d);
   }
 
+  /// busy() for a frame-free caller: account the overhead now and run
+  /// `then` as the event that ends the pause, where busy()'s Delay would
+  /// have resumed its awaiter.
+  void busy_then(Time d, EventFn then) {
+    overhead_time_ += d;
+    eng_->after(d, std::move(then));
+  }
+
   /// Account overhead without advancing time: used by event-context
   /// handlers that charge the rank's CPU while it is blocked (the delay is
   /// applied by the handler's own scheduling).
@@ -546,20 +586,27 @@ class Cpu {
 
 /// RAII guard marking "the host is inside an MPI call". leave() ends the
 /// call early (an awaiter leaves MPI as it resumes its caller, not when
-/// the awaiter itself dies).
+/// the awaiter itself dies); a default-constructed scope is outside MPI
+/// until enter() (an awaiter enters MPI when it is awaited, not when the
+/// call builds it).
 class MpiScope {
  public:
-  explicit MpiScope(Cpu& cpu) : cpu_(&cpu) { cpu_->enter_mpi(); }
+  MpiScope() = default;
+  explicit MpiScope(Cpu& cpu) { enter(cpu); }
   ~MpiScope() {
     if (cpu_) cpu_->exit_mpi();
   }
   MpiScope(const MpiScope&) = delete;
   MpiScope& operator=(const MpiScope&) = delete;
 
+  void enter(Cpu& cpu) {
+    cpu_ = &cpu;
+    cpu_->enter_mpi();
+  }
   void leave() { std::exchange(cpu_, nullptr)->exit_mpi(); }
 
  private:
-  Cpu* cpu_;
+  Cpu* cpu_ = nullptr;
 };
 
 }  // namespace mns::sim

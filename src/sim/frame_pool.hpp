@@ -1,15 +1,16 @@
 // Pooled allocation for coroutine frames.
 //
-// A class-B skeleton run allocates millions of transient Task<> frames
-// (MPI calls, the channels' send and claim tasks, collective fan-outs). The
-// leaf waits (Cpu and Pipe pauses, request completions), Comm::wait and
-// Comm::compute are frame-free awaiters, and the devices' host-work and
-// NIC continuations and the fabric's delivery acks are plain events, so
-// none of those allocates a frame. With the default allocator every frame
-// would be a global operator-new/delete round trip. This pool routes
-// frame allocation through a per-thread size-binned freelist: after
-// warm-up a frame allocation is a pointer pop and a free is a pointer
-// push.
+// A class-B skeleton run still allocates hundreds of thousands of
+// transient Task<> frames: the collectives and their fan-outs, wait_all,
+// probe, the apps' own helper coroutines. The leaf waits (Cpu and Pipe
+// pauses, request completions), the point-to-point calls, Comm::wait and
+// Comm::compute are frame-free awaiters; the devices' sends, claims,
+// host-work and NIC continuations, the NIC senders and the fabric's
+// delivery acks are plain events; so none of those allocates a frame.
+// With the default allocator every frame would be a global
+// operator-new/delete round trip. This pool routes frame allocation
+// through a per-thread size-binned freelist: after warm-up a frame
+// allocation is a pointer pop and a free is a pointer push.
 //
 // Per-thread, not global-locked: the sweep runner (src/sweep/) executes
 // independent simulations on worker threads, and a simulation allocates

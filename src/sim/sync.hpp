@@ -65,8 +65,10 @@ class Fifo {
 };
 
 /// One-shot event. Awaiting after fire() completes immediately; firing
-/// releases all current waiters in wait order. fire() is idempotent.
-/// The first waiter is held inline: an MPI request has at most one.
+/// releases all current waiters in wait order, each through its own
+/// zero-delay event. fire() is idempotent. A waiter is a coroutine
+/// (wait()) or a frame-free continuation (notify()); the first is held
+/// inline, since an MPI request has at most one.
 class Trigger {
  public:
   explicit Trigger(Engine& eng) : eng_(&eng) {}
@@ -76,16 +78,12 @@ class Trigger {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    if (first_) {
-      eng_->resume_after(Time::zero(), std::exchange(first_, {}));
-    }
-    for (auto h : more_) {
-      eng_->resume_after(Time::zero(), h);
-    }
+    if (first_) eng_->after(Time::zero(), std::move(first_));
+    for (auto& w : more_) eng_->after(Time::zero(), std::move(w));
     more_.clear();
   }
 
-  /// Re-arm a fired trigger. Only valid when no coroutine is waiting.
+  /// Re-arm a fired trigger. Only valid when nothing is waiting.
   void reset() {
     if (first_) {
       throw std::logic_error("Trigger::reset with pending waiters");
@@ -93,16 +91,16 @@ class Trigger {
     fired_ = false;
   }
 
+  /// Wait without a frame: `c` runs as the event a coroutine waiter's
+  /// resume would have been. Only valid before fire().
+  void notify(Cont c) { add(c.event()); }
+
   auto wait() {
     struct Awaiter {
       Trigger& t;
       bool await_ready() const noexcept { return t.fired_; }
       void await_suspend(std::coroutine_handle<> h) {
-        if (!t.first_) {
-          t.first_ = h;
-        } else {
-          t.more_.push_back(h);
-        }
+        t.add(EventFn::resume(h));
       }
       void await_resume() const noexcept {}
     };
@@ -110,10 +108,19 @@ class Trigger {
   }
 
  private:
+  /// MNS_HOT: more_ keeps its capacity; an MPI request never uses it.
+  MNS_HOT void add(EventFn w) {
+    if (!first_) {
+      first_ = std::move(w);
+    } else {
+      more_.push_back(std::move(w));
+    }
+  }
+
   Engine* eng_;
   bool fired_ = false;
-  std::coroutine_handle<> first_;
-  std::vector<std::coroutine_handle<>> more_;  // waiters after the first
+  EventFn first_;
+  std::vector<EventFn> more_;  // waiters after the first
 };
 
 /// Unbounded FIFO mailbox. Senders never block; receivers block until a

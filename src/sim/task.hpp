@@ -1,13 +1,17 @@
 // Lazy coroutine task with continuation chaining.
 //
-// Every simulated process (an MPI rank, a NIC firmware thread, a benchmark
-// driver) is a tree of Task<> coroutines scheduled by sim::Engine. A Task is
-// lazy: it runs only when co_awaited (or spawned as a process root), and on
-// completion transfers control back to its awaiter via symmetric transfer,
-// so arbitrarily deep call chains use O(1) stack. The leaves of the tree —
-// a CPU pause, a pipe slot, a request completion — are plain awaiters
-// (sim::Delay, mpi::Request::DoneAwaiter), not Tasks: a wait whose only job
-// is to schedule one resume of its caller needs no frame of its own.
+// A simulated process (an MPI rank, a micro-benchmark kernel, a switch
+// broadcast) is a tree of Task<> coroutines scheduled by sim::Engine. A
+// Task is lazy: it runs only when co_awaited (or spawned as a process
+// root), and on completion transfers control back to its awaiter via
+// symmetric transfer, so arbitrarily deep call chains use O(1) stack.
+// Tasks are for code that awaits more than once: the rank mains, the
+// collectives, wait_all and probe. The waits below them are plain
+// awaiters, not Tasks: the leaves (a CPU pause, a pipe slot, a request
+// completion: sim::Delay, mpi::Request::DoneAwaiter) and the MPI
+// point-to-point calls, whose device work runs as chains of events
+// (sim::Cont); the NIC senders are state machines. A wait whose only job
+// is to schedule resumes of its caller needs no frame of its own.
 #pragma once
 
 #include <coroutine>

@@ -105,6 +105,23 @@ def test_tab03_honours_max_sim_time():
     assert proc.stdout == "", proc.stdout
 
 
+def test_values_that_do_not_fit_exit_2():
+    # A value beyond its flag's type is refused, not wrapped. Wrapped,
+    # --max-sim-time=18446744073710 (microseconds) set a 448.38 ns limit,
+    # 9223372036855 went negative and dropped the limit, and --jobs or
+    # --partitions=4294967297 ran as 1; --max-sim-time=1 stops such a
+    # wrapped run after 1 us of simulated time.
+    for args in (["--max-sim-time=18446744073710"],
+                 ["--max-sim-time=9223372036855"],
+                 ["--jobs=4294967297", "--max-sim-time=1"],
+                 ["--partitions=4294967297", "--max-sim-time=1"]):
+        proc = run("tab05_collectives", *args)
+        assert proc.returncode == 2, (args, proc)
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "out of range" in proc.stderr, proc.stderr
+        assert proc.stdout == "", proc.stdout
+
+
 def test_every_cell_harness_applies_the_cell_flags():
     # --max-sim-time=1 stops the first cell at 1 us: exit 3 proves the
     # harness ran its cells through run_cells with the flags applied.

@@ -414,18 +414,19 @@ TEST_F(FabricFixture, ShmDeliversAfterCopyAndVisibility) {
   shm::ShmConfig cfg{Time::ns(300), Time::ns(250), Time::ns(150),
                      model::xeon_2003_memcpy()};
   shm::ShmDomain dom(eng, cfg);
-  Time arrived, sender_resumed;
-  eng.spawn([](Engine& e, shm::ShmDomain& dom, Time& arrived,
-               Time& sender_resumed) -> Task<> {
-    shm::ShmMsg m;
-    m.src_rank = 0;
-    m.dst_rank = 1;
-    m.bytes = 1024;
-    m.remote_arrival = [&e, &arrived] { arrived = e.now(); };
-    co_await dom.send_copy(std::move(m));
-    sender_resumed = e.now();
-  }(eng, dom, arrived, sender_resumed));
+  struct Copy {
+    Engine* e;
+    shm::ShmDomain* dom;
+    Time arrived, sender_resumed;
+    void copied() {
+      sender_resumed = e->now();
+      dom->publish(1024, [this] { arrived = e->now(); });
+    }
+  } copy{&eng, &dom, {}, {}};
+  dom.send_copy(1024, sim::Cont::member<&Copy::copied>(&copy));
   eng.run();
+  const Time arrived = copy.arrived;
+  const Time sender_resumed = copy.sender_resumed;
   // Sender resumes before the data is visible at the receiver.
   EXPECT_LT(sender_resumed, arrived);
   EXPECT_GT(arrived, Time::ns(300));

@@ -114,7 +114,7 @@ TEST(Matcher, UnexpectedWildcardDrainsOldestAcrossBuckets) {
   // Unexpected messages bucket by their concrete (src, tag); a wildcard
   // receive must still claim them in arrival order across buckets.
   Matcher m;
-  auto claim = [](PostedRecv) -> sim::Task<void> { co_return; };
+  auto claim = [](PostedRecv, sim::Cont) {};
   m.add_unexpected({Envelope{2, 0, 1, 10}, claim});
   m.add_unexpected({Envelope{3, 0, 1, 20}, claim});
   m.add_unexpected({Envelope{2, 0, 7, 30}, claim});
@@ -139,15 +139,9 @@ TEST(Matcher, UnexpectedQueueFifo) {
   Matcher m;
   int claimed = 0;
   m.add_unexpected({Envelope{2, 0, 1, 10},
-                    [&](PostedRecv) -> sim::Task<void> {
-                      claimed = 1;
-                      co_return;
-                    }});
+                    [&](PostedRecv, sim::Cont) { claimed = 1; }});
   m.add_unexpected({Envelope{2, 0, 1, 20},
-                    [&](PostedRecv) -> sim::Task<void> {
-                      claimed = 2;
-                      co_return;
-                    }});
+                    [&](PostedRecv, sim::Cont) { claimed = 2; }});
   auto u = m.match_posted(2, 1);
   ASSERT_TRUE(u);
   EXPECT_EQ(u->env.bytes, 10u);  // arrival order preserved

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "leaf_wait.hpp"
 #include "sim/frame_pool.hpp"
 
 namespace {
@@ -258,8 +259,9 @@ TEST_P(P2PAllNets, SyntheticViewsMoveNoData) {
 
 // Coroutine frames allocated per message of an 8-byte ping-pong, pinned
 // at the count reached with the leaf waits (Cpu, Pipe, Request), Comm's
-// wait and compute as plain awaiters and the device continuations as
-// plain events: any of them turning back into a Task raises it.
+// point-to-point calls, wait and compute as plain awaiters, the device
+// sends, claims and continuations as plain events and the NIC sender as a
+// state machine: any of them turning back into a Task raises it.
 TEST_P(P2PAllNets, PingPongFrameBudgetPerMessage) {
   ClusterConfig cfg{.nodes = 2, .net = GetParam()};
   Cluster c(cfg);
@@ -284,14 +286,159 @@ TEST_P(P2PAllNets, PingPongFrameBudgetPerMessage) {
   // Rank 1 starts inside rank 0's window, so the count also holds rank
   // 1's start-up frame; the whole-frames-per-message quotient drops it.
   const std::uint64_t per_msg = frames / (2 * kPingPongRounds);
-  std::uint64_t budget = 0;
-  switch (GetParam()) {
-    case Net::kInfiniBand: budget = 6; break;
-    case Net::kMyrinet: budget = 6; break;
-    case Net::kQuadrics: budget = 5; break;
+  EXPECT_EQ(per_msg, 0u) << frames << " frames in " << 2 * kPingPongRounds
+                         << " messages";
+}
+
+// Each node's NIC sender is a state machine started by an event of its
+// own, not a spawned coroutine: building a cluster allocates no frame.
+TEST(P2PFrames, ClusterConstructionAllocatesNoSenderFrame) {
+  for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
+    SCOPED_TRACE(static_cast<int>(net));
+    const std::uint64_t before = sim::frame_pool::stats().allocated;
+    Cluster c(ClusterConfig{.nodes = 4, .ppn = 2, .net = net});
+    EXPECT_EQ(sim::frame_pool::stats().allocated - before, 0u);
   }
-  EXPECT_LE(per_msg, budget) << frames << " frames in "
-                             << 2 * kPingPongRounds << " messages";
+}
+
+// send, recv, isend, irecv and sendrecv are plain awaiters, and the device
+// runs the send and the unexpected-message claim as chains of events: the
+// call allocates no coroutine frame, and rank 0 resumes at the instant the
+// coroutines they replace resumed it. Each case is one message between
+// ranks 0 and 1 on one path: eager, rendezvous, shared memory or NIC
+// loopback, and the Elan's NIC-matched and buffered sends. Its receive is
+// either posted before the message arrives (the receiving rank calls at
+// 1 us, the sender at 200 us) or not (the sender at 1 us, the receiver at
+// 200 us, so an unexpected message waits to be claimed).
+enum class P2PCall { kSend, kRecv, kIsend, kIrecv, kSendrecv };
+
+struct P2PPath {
+  const char* name;
+  Net net;
+  std::size_t nodes;
+  int ppn;
+  std::uint64_t bytes;
+};
+
+test_support::LeafWait p2p_leaf_wait(const P2PPath& path, P2PCall call,
+                                     bool posted) {
+  ClusterConfig cfg{.nodes = path.nodes, .ppn = path.ppn, .net = path.net};
+  Cluster c(cfg);
+  test_support::LeafWait out;
+  // Does rank 0 receive (and so go first when the receive is posted)?
+  const bool receives = call == P2PCall::kRecv || call == P2PCall::kIrecv ||
+                        call == P2PCall::kSendrecv;
+  const double early = 1e-6;
+  const double late = 200e-6;
+  const double t0 = receives == posted ? early : late;
+  const double t1 = receives == posted ? late : early;
+  c.run([&](Comm& comm) -> Task<> {
+    const View sbuf = View::synth(0x10000 * (comm.rank() + 1), path.bytes);
+    const View rbuf = View::synth(0x80000 * (comm.rank() + 1), path.bytes);
+    if (comm.rank() == 1) {
+      co_await comm.compute(t1);
+      switch (call) {
+        case P2PCall::kSend:
+        case P2PCall::kIsend:
+          co_await comm.recv(rbuf, 0, 5);
+          break;
+        case P2PCall::kRecv:
+        case P2PCall::kIrecv:
+          co_await comm.send(sbuf, 0, 5);
+          break;
+        case P2PCall::kSendrecv:
+          co_await comm.sendrecv(sbuf, 0, 5, rbuf, 0, 5);
+          break;
+      }
+      co_return;
+    }
+    co_await comm.compute(t0);
+    const std::uint64_t before = sim::frame_pool::stats().allocated;
+    mpi::Request req;
+    switch (call) {
+      case P2PCall::kSend:
+        co_await comm.send(sbuf, 1, 5);
+        break;
+      case P2PCall::kRecv:
+        co_await comm.recv(rbuf, 1, 5);
+        break;
+      case P2PCall::kIsend:
+        req = co_await comm.isend(sbuf, 1, 5);
+        break;
+      case P2PCall::kIrecv:
+        req = co_await comm.irecv(rbuf, 1, 5);
+        break;
+      case P2PCall::kSendrecv:
+        co_await comm.sendrecv(sbuf, 1, 5, rbuf, 1, 5);
+        break;
+    }
+    out.frames = sim::frame_pool::stats().allocated - before;
+    out.resumed = comm.now();
+    co_await comm.wait(req);
+  });
+  return out;
+}
+
+// Rank 0's resume instants in ps, per path, for send, recv, isend, irecv
+// and sendrecv: with the receive posted, then with it unexpected.
+struct P2PLeafCase {
+  P2PPath path;
+  std::int64_t posted_ps[5];
+  std::int64_t unexpected_ps[5];
+};
+
+const P2PLeafCase kP2PLeafCases[] = {
+    {{"IbEager", Net::kInfiniBand, 2, 1, 8},
+     {203'622'237, 206'706'474, 200'845'000, 1'000'000, 207'471'474},
+     {4'622'237, 200'765'000, 1'845'000, 200'765'000, 204'387'237}},
+    {{"IbRendezvous", Net::kInfiniBand, 2, 1, 64 << 10},
+     {397'276'496, 403'030'028, 249'780'000, 1'000'000, 455'084'754},
+     {342'442'964, 348'196'496, 50'780'000, 249'400'000, 449'331'222}},
+    {{"IbSharedMemory", Net::kInfiniBand, 1, 2, 8},
+     {201'095'000, 201'580'000, 201'095'000, 1'000'000, 201'865'000},
+     {2'095'000, 200'285'000, 2'095'000, 200'285'000, 201'380'000}},
+    {{"IbLoopback", Net::kInfiniBand, 1, 2, 64 << 10},
+     {451'008'834, 456'498'366, 249'780'000, 1'000'000, 598'435'504},
+     {396'439'302, 401'928'834, 50'780'000, 249'400'000, 592'945'972}},
+    {{"GmEager", Net::kMyrinet, 2, 1, 8},
+     {203'201'112, 206'690'224, 200'315'000, 1'000'000, 207'155'224},
+     {4'201'112, 200'465'000, 1'315'000, 200'465'000, 203'666'112}},
+    {{"GmRendezvous", Net::kMyrinet, 2, 1, 64 << 10},
+     {570'440'851, 576'637'717, 239'450'000, 1'000'000, 811'455'338},
+     {525'193'985, 531'390'851, 40'450'000, 239'400'000, 805'258'472}},
+    {{"GmSharedMemory", Net::kMyrinet, 1, 2, 8},
+     {200'695'000, 201'320'000, 200'695'000, 1'000'000, 201'745'000},
+     {1'695'000, 200'425'000, 1'695'000, 200'425'000, 201'120'000}},
+    {{"ElanBuffered", Net::kQuadrics, 2, 1, 8},
+     {206'153'457, 211'406'914, 201'700'000, 1'800'000, 213'071'914},
+     {7'153'457, 201'665'000, 2'700'000, 201'665'000, 207'818'457}},
+    {{"ElanNicMatched", Net::kQuadrics, 2, 1, 64 << 10},
+     {423'001'435, 430'001'435, 201'700'000, 1'800'000, 441'430'695},
+     {224'001'435, 231'001'435, 2'700'000, 200'800'000, 434'430'695}},
+    {{"ElanLoopback", Net::kQuadrics, 1, 2, 8},
+     {207'853'457, 212'856'914, 201'700'000, 1'800'000, 214'521'914},
+     {8'853'457, 201'665'000, 2'700'000, 201'665'000, 209'518'457}},
+};
+
+class P2PLeafWait : public ::testing::TestWithParam<P2PLeafCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, P2PLeafWait, ::testing::ValuesIn(kP2PLeafCases),
+    [](const auto& info) { return std::string(info.param.path.name); });
+
+TEST_P(P2PLeafWait, CallsResumeCallerWithoutAFrame) {
+  const P2PLeafCase& c = GetParam();
+  const char* names[] = {"send", "recv", "isend", "irecv", "sendrecv"};
+  for (int i = 0; i < 5; ++i) {
+    for (const bool posted : {true, false}) {
+      SCOPED_TRACE(std::string(names[i]) +
+                   (posted ? " posted" : " unexpected"));
+      const auto w = p2p_leaf_wait(c.path, static_cast<P2PCall>(i), posted);
+      EXPECT_EQ(w.frames, 0u);
+      EXPECT_EQ(w.resumed.count_ps(),
+                posted ? c.posted_ps[i] : c.unexpected_ps[i]);
+    }
+  }
 }
 
 TEST(MpiErrors, BadDestinationThrows) {

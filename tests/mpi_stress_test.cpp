@@ -257,6 +257,67 @@ TEST(MpiMisuse, SourceOutOfRangeThrows) {
   }
 }
 
+// User tags lie in [0, kCollectiveTagBase); the collectives' internal
+// messages use the tags from kCollectiveTagBase up. Unchecked, rank 0's
+// send of 7 with tag kCollectiveTagBase matched rank 1's next bcast, which
+// returned 7, and the bcast's 42 went to a later recv on that tag. Each
+// call checks its tags at the call, as it checks its ranks; a receive may
+// also name kAnyTag.
+TEST(MpiMisuse, TagOutsideUserRangeThrows) {
+  for (const Net net : {Net::kInfiniBand, Net::kMyrinet, Net::kQuadrics}) {
+    expect_invalid_argument(net, [](Comm& comm) -> Task<> {
+      double v = comm.rank() == 0 ? 7 : 0;
+      if (comm.rank() == 0) {
+        co_await comm.send(View::in(&v, 8), 1, mpi::kCollectiveTagBase);
+      }
+      v = 42;
+      co_await comm.bcast(View::out(&v, 8), 0);
+    });
+    for (const mpi::Tag bad : {mpi::kCollectiveTagBase, mpi::Tag{-7}}) {
+      SCOPED_TRACE(bad);
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.send(View::synth(1, 64), 1, bad);
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          Request r = co_await comm.isend(View::synth(1, 64), 1, bad);
+          co_await comm.wait(r);
+        }
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.recv(View::synth(1, 64), 1, bad);
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          Request r = co_await comm.irecv(View::synth(1, 64), 1, bad);
+          co_await comm.wait(r);
+        }
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) co_await comm.probe(1, bad);
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          co_await comm.sendrecv(View::synth(1, 64), 1, bad,
+                                 View::synth(2, 64), 1, 0);
+        }
+      });
+      expect_invalid_argument(net, [bad](Comm& comm) -> Task<> {
+        if (comm.rank() == 0) {
+          co_await comm.sendrecv(View::synth(1, 64), 1, 0,
+                                 View::synth(2, 64), 1, bad);
+        }
+      });
+    }
+    // kAnyTag names no message: it is a receive's wildcard only.
+    expect_invalid_argument(net, [](Comm& comm) -> Task<> {
+      if (comm.rank() == 0) {
+        co_await comm.send(View::synth(1, 64), 1, mpi::kAnyTag);
+      }
+    });
+  }
+}
+
 // A reduction checks its `count` elements of `dtype` against the view
 // before it posts anything, real and synthetic views alike: the combine
 // step would otherwise run past the end of a real buffer.

@@ -179,6 +179,28 @@ DEFAULT_HOT_ROOTS = [
     r"RdvChannel::on_cts$",
     r"ElanChannel::start_send$",
     r"ElanChannel::on_arrival$",
+    # The send and claim paths run as chains of events: each continuation
+    # below is reached through an EventFn or a sim::Cont, never by a call
+    # the graph can see, so each is a root of its own.
+    r"RdvChannel::route_send$",
+    r"RdvChannel::shm_copied$",
+    r"RdvChannel::post_eager$",
+    r"RdvChannel::post_rts$",
+    r"RdvChannel::claim_buffered$",
+    r"RdvChannel::claim_rts$",
+    r"ElanChannel::post_send$",
+    r"ElanChannel::claim$",
+    # The point-to-point awaiters' legs (the bodies of the coroutines they
+    # replace) and the NIC sender's state machine.
+    r"P2PAwaiter::send_leg$",
+    r"P2PAwaiter::recv_leg$",
+    r"P2PAwaiter::post_recv$",
+    r"P2PAwaiter::wait_leg$",
+    r"SendrecvAwaiter::started$",
+    r"NetFabric::post$",
+    r"NetFabric::sender_next$",
+    r"NetFabric::sender_setup_done$",
+    r"NetFabric::sender_launch$",
     r"Matcher::match_arrival$",
     r"Matcher::match_posted$",
     r"Matcher::post$",
